@@ -3,7 +3,7 @@
 Run from the root of a checkout::
 
     python3 perfbench/run.py --workload interactive_all_nodes --seed 1 \\
-        --seconds 15 --trace 0
+        --seconds 22 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with tracing off.  The
 launcher (this process, which never imports the program) starts a fresh
@@ -11,7 +11,8 @@ child process per set-up sample: ``SETUP_SAMPLES - 1`` children only set
 up and exit, the last one sets up and then runs the timed region, checks
 every output against its reference and reports.  ``setup_s`` is the
 median, over those children, of the time from process start to the end
-of the first warm-up operation.
+of the first warm-up operation.  Every time is scaled to a reference host
+speed measured by the launcher (:mod:`calibrate`).
 
 ``--trace 1`` reports the per-layer metrics: the child runs half of
 ``--seconds`` untraced, then wraps every layer boundary
@@ -36,6 +37,8 @@ import subprocess
 import sys
 import threading
 import time
+
+import calibrate
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -62,12 +65,19 @@ class _Child:
             [sys.executable, os.path.abspath(__file__), "--role", role,
              "--workload", args.workload, "--seed", str(args.seed),
              "--seconds", str(args.seconds), "--trace", str(args.trace)],
-            cwd=ROOT, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            cwd=ROOT, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             text=True, start_new_session=True)
         threading.Thread(target=self._pump, daemon=True).start()
 
     def _pump(self) -> None:
         for line in self.proc.stdout:
+            if line.startswith(calibrate.REQUEST):
+                try:
+                    self.proc.stdin.write(calibrate.answer(line))
+                    self.proc.stdin.flush()
+                except OSError:      # the child is gone
+                    pass
+                continue
             self.lines.put(line.rstrip("\n"))
         self.lines.put(None)
 
@@ -119,24 +129,31 @@ class ChildFailed(RuntimeError):
         self.out = out
 
 
+def bracket() -> list:
+    """Kernel samples taken just before a child starts."""
+    return [calibrate.sample() for _ in range(calibrate.BRACKET)]
+
+
 def launch(args) -> int:
     if not os.path.isdir(os.path.join(ROOT, "src", "repro")):
         print(f"perfbench: no program sources under {ROOT}/src",
               file=sys.stderr)
         return 2
     deadline = time.monotonic() + BUDGET_SECONDS
-    setups = []
+    setups = []      # (raw seconds, host-speed factor) per fresh process
     child = None
     try:
         if not args.trace:
             for _ in range(SETUP_SAMPLES - 1):
+                factor = calibrate.speed_factor(bracket())
                 child = _Child(args, "setup", deadline)
-                setups.append(child.wait_ready())
+                setups.append((child.wait_ready(), factor))
                 child.finish()
+        factor = calibrate.speed_factor(bracket())
         child = _Child(args, "run", deadline)
         ready = child.wait_ready()
         if not args.trace:
-            setups.append(ready)
+            setups.append((ready, factor))
         out = child.finish()
     except ChildFailed as exc:
         for line in exc.out[:-1]:
@@ -153,9 +170,12 @@ def launch(args) -> int:
     result = json.loads(out[-1])
     samples = result.pop("samples")
     if not args.trace:
-        result["metrics"]["setup_s"] = {"value": statistics.median(setups),
-                                        "unit": "s"}
-        samples["setup_s"] = f"{len(setups)} fresh processes"
+        result["metrics"]["setup_s"] = {
+            "value": statistics.median(raw * factor for raw, factor in setups),
+            "unit": "s"}
+        samples["setup_s"] = (
+            f"{len(setups)} fresh processes; raw "
+            f"{statistics.median(raw for raw, _ in setups):.4g} s")
     print(f"perfbench {args.workload} seed={args.seed} "
           f"seconds={args.seconds} trace={args.trace}")
     for line in out[:-1]:
@@ -210,18 +230,43 @@ def tree_peak_rss_mb() -> float:
     return total_kb / 1024.0
 
 
-def end_to_end(ops, rss_mb: float) -> tuple:
-    requests = [op.request_seconds for op in ops
+def end_to_end(ops, rss_mb: float, open_loop: bool, factor: float) -> tuple:
+    """The end-to-end metrics, wall times scaled to the reference host
+    speed by ``factor`` (see :mod:`calibrate`).
+
+    In the open loop only the server's share of a job (queue and compute,
+    ``finished - created``) is scaled: the rest is network and the
+    client's wait for a connection, which the host's speed does not set,
+    and the offered rate is fixed by the schedule.
+    """
+    def scaled(op, seconds):
+        if not open_loop:
+            return seconds * factor
+        server = op.extra.get("finished", 0.0) - op.extra.get("created", 0.0)
+        return seconds + (factor - 1.0) * server
+
+    requests = [scaled(op, op.request_seconds) for op in ops
                 if op.request_seconds is not None]
-    jobs = [latency for op in ops for latency in op.item_latencies]
+    jobs = [scaled(op, latency) for op in ops
+            for latency in op.item_latencies]
     completed = sum(op.items - op.failed for op in ops)
     wall = max(op.end for op in ops) - min(op.due for op in ops)
+    if open_loop:
+        # The schedule sets the pace: what completed over its span.
+        rate = completed / wall
+        rate_samples = f"{completed} samples in {wall:.2f} s"
+    else:
+        # One client waits on each operation: the median operation's
+        # rate, so a few operations slowed by the host do not move it.
+        rate = statistics.median((op.items - op.failed) / (op.end - op.start)
+                                 for op in ops) / factor
+        rate_samples = f"median of {len(ops)} operations"
     metrics = {
         "request_p50_ms": (percentile(requests, 50) * 1e3, "ms"),
         "request_p90_ms": (percentile(requests, 90) * 1e3, "ms"),
         "job_p50_ms": (percentile(jobs, 50) * 1e3, "ms"),
         "job_p90_ms": (percentile(jobs, 90) * 1e3, "ms"),
-        "samples_per_s": (completed / wall, "1/s"),
+        "samples_per_s": (rate, "1/s"),
         "peak_rss_mb": (rss_mb, "MB"),
     }
     samples = {
@@ -229,7 +274,7 @@ def end_to_end(ops, rss_mb: float) -> tuple:
         "request_p90_ms": f"n={len(requests)} requests",
         "job_p50_ms": f"n={len(jobs)} jobs",
         "job_p90_ms": f"n={len(jobs)} jobs",
-        "samples_per_s": f"{completed} samples in {wall:.2f} s",
+        "samples_per_s": rate_samples,
         "peak_rss_mb": "VmHWM summed over the process tree",
     }
     return metrics, samples
@@ -346,7 +391,15 @@ def child(args) -> int:
             return 0
         workload.prewarm()
         seconds = args.seconds / 2 if args.trace else args.seconds
-        ops = workload.run(seconds)
+        if args.trace:
+            ops = workload.run(seconds)
+        else:
+            # Kernel samples (see calibrate) around the timed region and
+            # between its operations.
+            speed = calibrate.request(calibrate.BRACKET)
+            ops = workload.run(seconds,
+                               lambda: speed.extend(calibrate.request()))
+            speed += calibrate.request(calibrate.BRACKET)
         rss = None if args.trace else tree_peak_rss_mb()
         mismatched = workload.verify()
         if args.trace:
@@ -364,7 +417,16 @@ def child(args) -> int:
             metrics, samples = per_layer(untraced, ops, before, after)
             ops = untraced + ops
         else:
-            metrics, samples = end_to_end(ops, rss)
+            factor = calibrate.speed_factor(speed)
+            metrics, samples = end_to_end(ops, rss, cls.open_loop, factor)
+            raw, _ = end_to_end(ops, rss, cls.open_loop, 1.0)
+            for name, (value, unit) in raw.items():
+                if value != metrics[name][0]:
+                    samples[name] += f"; raw {value:.4g} {unit}"
+            print(f"  host speed x{factor:.4f} of the reference: kernel "
+                  f"median {statistics.median(speed):.3f} ms "
+                  f"of {len(speed)} samples, reference "
+                  f"{calibrate.REFERENCE_MS} ms")
         attempted = sum(op.items for op in ops)
         failed = sum(op.failed for op in ops) + mismatched
         if mismatched:
@@ -390,7 +452,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=22.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--role", choices=("setup", "run"),
                         help=argparse.SUPPRESS)

@@ -123,6 +123,10 @@ class _InProcess:
     directly: one service, closed loop, one client."""
 
     name = ""
+    open_loop = False
+    #: Most outputs the gate re-runs per timed run: re-running every one
+    #: would cost as long as the run itself.
+    CHECKS = 24
 
     def __init__(self, seed: int, scratch: str, traced: bool = False):
         self.rng = random.Random(seed)
@@ -139,6 +143,12 @@ class _InProcess:
     def prewarm(self) -> None:
         """Nothing to warm: every operation is meant to miss the cache."""
 
+    def _checked(self) -> list:
+        """A seed-picked sample of at most :attr:`CHECKS` of the issued
+        outputs, drawn from the whole run; empties the issued list."""
+        issued, self.issued = self.issued, []
+        return self.check_rng.sample(issued, min(self.CHECKS, len(issued)))
+
     def counters(self) -> dict:
         cache = self.service.cache.stats.snapshot()["counters"]
         return dict(global_registry().snapshot()["counters"], **cache)
@@ -150,13 +160,17 @@ class _InProcess:
         with use_tracer(self.tracer), self.tracer.span("harness.op"):
             return call()
 
-    def run(self, seconds: float) -> List[Op]:
+    def run(self, seconds: float, between=None) -> List[Op]:
+        """Operations back to back for ``seconds``; ``between()``, if
+        given, is called untimed before each one."""
         if self.traced:
             from layers import tracer
             self.tracer = tracer()
         ops = []
         deadline = time.perf_counter() + seconds
         while time.perf_counter() < deadline:
+            if between is not None:
+                between()
             ops.append(self._op())
         self.tracer = None
         return ops
@@ -213,12 +227,11 @@ class InteractiveAllNodes(_InProcess):
 
     def verify(self) -> int:
         mismatched = 0
-        for variables, served in self.issued:
+        for variables, served in self._checked():
             reference = execute_request(AnalysisRequest(
                 mode="all-nodes", circuit=self.circuit, variables=variables))
             mismatched += stability_mismatch(stability_fields(reference),
                                              served) > TOLERANCE
-        self.issued = []
         return mismatched
 
 
@@ -233,8 +246,10 @@ class MonteCarloScreen(_InProcess):
     #: Temperature corners, cycled from a seed-drawn offset so that every
     #: run screens each corner about equally often.
     CORNERS = (-40.0, 0.0, 27.0, 85.0, 125.0)
-    #: Samples per screen re-run through the scalar path by the gate.
+    #: Samples per screen offered to the gate, which re-runs
+    #: :attr:`CHECKS` of them through the scalar path.
     CHECKED_PER_SCREEN = 4
+    CHECKS = 32
 
     def setup(self) -> None:
         self.circuit = opamp_buffer().circuit
@@ -275,14 +290,13 @@ class MonteCarloScreen(_InProcess):
 
     def verify(self) -> int:
         mismatched = 0
-        for scenario, served in self.issued:
+        for scenario, served in self._checked():
             reference = execute_request(AnalysisRequest(
                 mode="all-nodes", circuit=self.circuit,
                 temperature=scenario.temperature, gmin=scenario.gmin,
                 variables=scenario.variables))
             mismatched += stability_mismatch(stability_fields(reference),
                                              served) > TOLERANCE
-        self.issued = []
         return mismatched
 
 
@@ -318,8 +332,10 @@ class SparsePoolAC(_InProcess):
     SECTIONS = 1000
     BATCH = 64
     SWEEP = dict(sweep_start=1e3, sweep_stop=1e9, sweep_points_per_decade=4)
-    #: Requests per batch re-run through the serial engine by the gate.
+    #: Requests per batch offered to the gate, which re-runs
+    #: :attr:`CHECKS` of them through the serial engine.
     CHECKED_PER_BATCH = 8
+    CHECKS = 32
 
     def setup(self) -> None:
         self.circuit = tc_ladder(self.SECTIONS)
@@ -352,7 +368,7 @@ class SparsePoolAC(_InProcess):
 
     def verify(self) -> int:
         mismatched = 0
-        issued, self.issued = self.issued, []
+        issued = self._checked()
         references = BatchEngine(backend="serial", persistent=False).run(
             [request for request, _ in issued])
         for (_, served), reference in zip(issued, references):
@@ -405,9 +421,13 @@ class GatewayMixed:
     serve`` in its own process, over two persistent connections."""
 
     name = "gateway_mixed"
-    #: Offered load (jobs/s): about half the capacity measured with
-    #: ``python3 perfbench/reports.py ladder`` on a 2-core x86_64 box.
-    RATE = 6.0
+    open_loop = True
+    #: Offered load (jobs/s): a quarter of the capacity measured with
+    #: ``python3 perfbench/reports.py ladder`` on a 2-core x86_64 box.  The
+    #: 250 ms between jobs keeps a heavy job (~150 ms) from running into
+    #: the next one; at 6 jobs/s (167 ms) a slightly slow host makes them
+    #: overlap, and the overlaps swing both percentiles from run to run.
+    RATE = 4.0
     #: p90 job-latency limit (ms) the rate ladder holds the gateway to.
     P90_LIMIT_MS = 250.0
     CONNECTIONS = 2
@@ -421,6 +441,9 @@ class GatewayMixed:
                "repeat", "repeat", "list4", "repeat")
     #: Jobs still running this long after the schedule ends are failed.
     GRACE_SECONDS = 30.0
+    #: ``run``'s ``between()`` is called only when no job is in flight and
+    #: none is due for this long, so that it never delays or slows a job.
+    QUIET_SECONDS = 0.05
 
     def __init__(self, seed: int, scratch: str, traced: bool = False):
         self.rng = random.Random(seed)
@@ -552,7 +575,9 @@ class GatewayMixed:
                          "started": summary.get("started"),
                          "finished": summary.get("finished")})
 
-    def run(self, seconds: float) -> List[Op]:
+    def run(self, seconds: float, between=None) -> List[Op]:
+        """The schedule for ``seconds``; ``between()``, if given, is called
+        in quiet gaps (see :data:`QUIET_SECONDS`), at most once per job."""
         count = max(1, int(seconds * self.rate))
         bodies = [self._next_body() for _ in range(count)]
         origin = time.perf_counter() + 0.05
@@ -561,23 +586,40 @@ class GatewayMixed:
         cursor = iter(range(count))
         lock = threading.Lock()
         cutoff = dues[-1] + self.GRACE_SECONDS
+        pending = set()      # dues of jobs a client holds but has not sent
+        in_flight = 0
 
         def client(connection: _Connection) -> None:
+            nonlocal in_flight
             while True:
                 with lock:
                     index = next(cursor, None)
+                    if index is not None:
+                        pending.add(dues[index])
                 if index is None:
                     return
                 due = dues[index]
                 items = len(self._entries(bodies[index]))
                 if time.perf_counter() > cutoff:
+                    with lock:
+                        pending.discard(due)
                     ops[index] = Op(due=due, start=due, end=due, items=items,
                                     failed=items)
                     continue
+                if between is not None:
+                    with lock:
+                        if not in_flight and min(pending) - \
+                                time.perf_counter() > self.QUIET_SECONDS:
+                            between()
                 delay = due - time.perf_counter()
                 if delay > 0:
                     time.sleep(delay)
+                with lock:
+                    pending.discard(due)
+                    in_flight += 1
                 ops[index] = self._job(connection, bodies[index], due)
+                with lock:
+                    in_flight -= 1
 
         threads = [threading.Thread(target=client, args=(connection,))
                    for connection in self.connections]
