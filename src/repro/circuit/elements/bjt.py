@@ -13,8 +13,13 @@ small-signal stability work on precision linear circuits:
 High-injection roll-off (IKF/IKR), leakage saturation currents (ISE/ISC)
 and the parasitic terminal resistances (RB/RC/RE) are not modelled; the
 reference circuits add explicit resistors where base resistance matters to
-a loop.  Derivatives are obtained by complex-step differentiation so the
-stamped conductances are exactly consistent with the current equations.
+a loop.
+
+:meth:`BJT.companion` evaluates the transport and base currents and their
+closed-form derivatives in one pass (SPICE2 style); Newton, the
+small-signal linearization and the operating-point summary all read from
+it.  The complex-capable current and charge equations stay alongside as
+the oracle the tests differentiate by complex step.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ import numpy as np
 
 from repro.circuit.elements.nonlinear import (
     NonlinearDevice,
-    cstep_derivative,
-    cstep_gradient,
+    depletion_capacitance,
+    depletion_charge,
     limexp,
+    limexp_with_slope,
     pnjlim,
 )
 from repro.circuit.units import thermal_voltage
@@ -99,21 +105,6 @@ class BJTModel:
         return self.BR * ratio ** self.XTB
 
 
-def _depletion_charge(v, cj0: float, vj: float, mj: float, fc: float):
-    """Depletion charge of a graded junction, SPICE-style linearisation
-    above ``fc * vj``.  Accepts real or complex ``v``."""
-    if cj0 <= 0.0:
-        return 0.0 * v
-    vr = v.real if isinstance(v, complex) else v
-    fcv = fc * vj
-    if vr < fcv:
-        return cj0 * vj / (1.0 - mj) * (1.0 - (1.0 - v / vj) ** (1.0 - mj))
-    f1 = cj0 * vj / (1.0 - mj) * (1.0 - (1.0 - fc) ** (1.0 - mj))
-    f2 = (1.0 - fc) ** (1.0 + mj)
-    return f1 + cj0 / f2 * ((1.0 - fc * (1.0 + mj)) * (v - fcv)
-                            + 0.5 * mj / vj * (v * v - fcv * fcv))
-
-
 class BJT(NonlinearDevice):
     """Three-terminal bipolar transistor (collector, base, emitter)."""
 
@@ -135,7 +126,80 @@ class BJT(NonlinearDevice):
         return {"collector": self.collector, "base": self.base, "emitter": self.emitter}
 
     # ------------------------------------------------------------------
-    # Current equations (NPN-referred junction voltages)
+    # Closed-form companion (NPN-referred junction voltages)
+    # ------------------------------------------------------------------
+    def _temperature_constants(self, temp_c: float):
+        """``(isat, vt, bf, br, vcrit)`` at ``temp_c``."""
+        m = self.model
+        isat = self.area * m.saturation_current(temp_c)
+        vt = thermal_voltage(temp_c)
+        return (isat, vt, m.beta_forward(temp_c), m.beta_reverse(temp_c),
+                vt * math.log(vt / (math.sqrt(2.0) * isat)))
+
+    def companion(self, vbe, vbc, ctx, constants=None):
+        """NPN-referred currents and their closed-form derivatives.
+
+        Returns ``(ic, ib, dic_dvbe, dic_dvbc, dib_dvbe, dib_dvbc, gif,
+        gir)`` with ``gmin`` excluded; ``gif``/``gir`` are the forward and
+        reverse diffusion conductances (``TF * gif`` and ``TR * gir`` are
+        the diffusion capacitances).  ``vbe``/``vbc`` may be real scalars
+        or ``(A,)`` sample columns; ``constants`` is the stamp's
+        :meth:`_temperature_constants`, computed here when omitted.
+        """
+        m = self.model
+        isat, vt, bf, br, _ = (constants
+                               or self._temperature_constants(ctx.temperature))
+        nfvt = m.NF * vt
+        nrvt = m.NR * vt
+        ef, slope_f = limexp_with_slope(vbe / nfvt)
+        er, slope_r = limexp_with_slope(vbc / nrvt)
+        i_f = isat * (ef - 1.0)
+        i_r = isat * (er - 1.0)
+        gif = isat * slope_f / nfvt
+        gir = isat * slope_r / nrvt
+
+        # Base charge factor (Early effect only; no high-injection term).
+        # The clamp keeps qb positive far from the solution; it moves the
+        # value only, so the slopes stay those of the unclamped line
+        # (exactly what complex-step differentiation of _npn_currents gives).
+        dqb_dvbc = -1.0 / m.VAF
+        if math.isfinite(m.VAR):
+            qb_inv = 1.0 - vbc / m.VAF - vbe / m.VAR
+            dqb_dvbe = -1.0 / m.VAR
+        else:
+            qb_inv = 1.0 - vbc / m.VAF
+            dqb_dvbe = 0.0
+        if isinstance(qb_inv, np.ndarray):
+            qb_inv = np.where(qb_inv < 0.1, qb_inv - (qb_inv - 0.1), qb_inv)
+        elif qb_inv < 0.1:
+            qb_inv = qb_inv - (qb_inv - 0.1)
+        i_t = i_f - i_r
+        ibc = i_r / br
+        return (i_t * qb_inv - ibc,
+                i_f / bf + ibc,
+                gif * qb_inv + i_t * dqb_dvbe,
+                i_t * dqb_dvbc - gir * qb_inv - gir / br,
+                gif / bf,
+                gir / br,
+                gif, gir)
+
+    def _capacitances(self, vbe: float, vbc: float, gif: float, gir: float):
+        """``(cbe, cbc)``: diffusion plus depletion, per junction."""
+        m = self.model
+        return (m.TF * gif + depletion_capacitance(
+                    vbe, self.area * m.CJE, m.VJE, m.MJE, m.FC),
+                m.TR * gir + depletion_capacitance(
+                    vbc, self.area * m.CJC, m.VJC, m.MJC, m.FC))
+
+    def _junction_voltages(self, x):
+        """NPN-referred ``(vbe, vbc)`` at the solution ``x``."""
+        p = self.model.sign
+        vb = x.voltage(self.base)
+        return (p * (vb - x.voltage(self.emitter)),
+                p * (vb - x.voltage(self.collector)))
+
+    # ------------------------------------------------------------------
+    # Complex-capable equations: the oracle the tests differentiate
     # ------------------------------------------------------------------
     def _npn_currents(self, vbe, vbc, ctx):
         """Return (ic, ib) of the NPN-referred transistor, gmin excluded."""
@@ -150,11 +214,8 @@ class BJT(NonlinearDevice):
 
         # Base charge factor (Early effect only; no high-injection term).
         qb_inv = 1.0 - vbc / m.VAF - (vbe / m.VAR if math.isfinite(m.VAR) else 0.0)
-        qb_real = qb_inv.real if isinstance(qb_inv, (complex, np.ndarray)) else qb_inv
-        if isinstance(qb_real, np.ndarray):
-            # Keep qb positive to avoid sign flips far from the solution.
-            qb_inv = np.where(qb_real < 0.1, qb_inv - (qb_real - 0.1), qb_inv)
-        elif qb_real < 0.1:
+        qb_real = qb_inv.real if isinstance(qb_inv, complex) else qb_inv
+        if qb_real < 0.1:
             # Keep qb positive to avoid sign flips far from the solution.
             qb_inv = qb_inv - (qb_real - 0.1)
         ict = (i_f - i_r) * qb_inv
@@ -188,7 +249,7 @@ class BJT(NonlinearDevice):
         isat = self.area * m.saturation_current(ctx.temperature)
         vt = thermal_voltage(ctx.temperature)
         q = m.TF * isat * (limexp(vbe / (m.NF * vt)) - 1.0)
-        q = q + _depletion_charge(vbe, self.area * m.CJE, m.VJE, m.MJE, m.FC)
+        q = q + depletion_charge(vbe, self.area * m.CJE, m.VJE, m.MJE, m.FC)
         return q
 
     def _charge_bc(self, vbc, ctx):
@@ -196,85 +257,60 @@ class BJT(NonlinearDevice):
         isat = self.area * m.saturation_current(ctx.temperature)
         vt = thermal_voltage(ctx.temperature)
         q = m.TR * isat * (limexp(vbc / (m.NR * vt)) - 1.0)
-        q = q + _depletion_charge(vbc, self.area * m.CJC, m.VJC, m.MJC, m.FC)
+        q = q + depletion_charge(vbc, self.area * m.CJC, m.VJC, m.MJC, m.FC)
         return q
-
-    # ------------------------------------------------------------------
-    # Limiting
-    # ------------------------------------------------------------------
-    def _limit(self, x, ctx):
-        """Junction-voltage limited node voltages (collector, base, emitter)."""
-        m = self.model
-        p = m.sign
-        vt = thermal_voltage(ctx.temperature)
-        isat = self.area * m.saturation_current(ctx.temperature)
-        vcrit = vt * math.log(vt / (math.sqrt(2.0) * isat))
-
-        vc = x.voltage(self.collector)
-        vb = x.voltage(self.base)
-        ve = x.voltage(self.emitter)
-        vbe = p * (vb - ve)
-        vbc = p * (vb - vc)
-
-        state = self.device_state(ctx)
-        vbe_old = state.get("vbe", 0.0)
-        vbc_old = state.get("vbc", 0.0)
-        vbe_lim = pnjlim(vbe, vbe_old, m.NF * vt, vcrit)
-        vbc_lim = pnjlim(vbc, vbc_old, m.NR * vt, vcrit)
-        state["vbe"] = vbe_lim
-        state["vbc"] = vbc_lim
-        return vbe_lim, vbc_lim
 
     # ------------------------------------------------------------------
     # Stamping
     # ------------------------------------------------------------------
     def stamp_nonlinear(self, stamper, x, ctx) -> None:
-        p = self.model.sign
-        vbe, vbc = self._limit(x, ctx)
+        m = self.model
+        p = m.sign
+        constants = self._temperature_constants(ctx.temperature)
+        vt, vcrit = constants[1], constants[4]
+        vbe, vbc = self._junction_voltages(x)
+        state = self.device_state(ctx)
+        vbe = pnjlim(vbe, state.get("vbe", 0.0), m.NF * vt, vcrit)
+        vbc = pnjlim(vbc, state.get("vbc", 0.0), m.NR * vt, vcrit)
+        state["vbe"] = vbe
+        state["vbc"] = vbc
+        ic, ib, dic_dvbe, dic_dvbc, dib_dvbe, dib_dvbc, _, _ = \
+            self.companion(vbe, vbc, ctx, constants)
+        g = ctx.gmin
         # Reconstruct consistent terminal voltages with the emitter as the
         # reference so that the companion linearisation point matches the
         # limited junction voltages.
         ve = 0.0
         vb = ve + p * vbe
         vc = vb - p * vbc
-
-        def currents(vc_, vb_, ve_):
-            return self._terminal_currents(vc_, vb_, ve_, ctx)
-
-        ic, ib, ie = currents(vc, vb, ve)
-        nodes = (self.collector, self.base, self.emitter)
-        volts = (vc, vb, ve)
-        jac = [cstep_gradient(lambda a, b, c, k=k: currents(a, b, c)[k], volts)
-               for k in range(3)]
-        self.stamp_companion(stamper, nodes, (ic, ib, ie), jac, volts)
+        # Terminal currents out of (collector, base, emitter) into the
+        # device with the gmin junction conductances; vbe = p*(vb - ve)
+        # and vbc = p*(vb - vc) with p*p = 1 give the chain rule below.
+        i_c = p * ic - g * (vb - vc)
+        i_b = p * ib + g * (vb - vc) + g * (vb - ve)
+        row_c = (g - dic_dvbc, dic_dvbe + dic_dvbc - g, -dic_dvbe)
+        row_b = (-dib_dvbc - g, dib_dvbe + dib_dvbc + 2.0 * g, -dib_dvbe - g)
+        row_e = (-(row_c[0] + row_b[0]), -(row_c[1] + row_b[1]),
+                 -(row_c[2] + row_b[2]))
+        self.stamp_companion(stamper,
+                             (self.collector, self.base, self.emitter),
+                             (i_c, i_b, -(i_c + i_b)), (row_c, row_b, row_e),
+                             (vc, vb, ve))
 
     def stamp_dynamic_nonlinear(self, stamper, x, ctx) -> None:
-        p = self.model.sign
-        vc = x.voltage(self.collector)
-        vb = x.voltage(self.base)
-        ve = x.voltage(self.emitter)
-        vbe = p * (vb - ve)
-        vbc = p * (vb - vc)
-        cbe = cstep_derivative(lambda v: self._charge_be(v, ctx), vbe)
-        cbc = cstep_derivative(lambda v: self._charge_bc(v, ctx), vbc)
+        vbe, vbc = self._junction_voltages(x)
+        point = self.companion(vbe, vbc, ctx)
+        cbe, cbc = self._capacitances(vbe, vbc, point[6], point[7])
         stamper.capacitance_op(self.base, self.emitter, cbe)
         stamper.capacitance_op(self.base, self.collector, cbc)
 
     # ------------------------------------------------------------------
     def operating_point_info(self, x, ctx) -> Dict[str, float]:
         """Operating-point summary: currents, gm, rpi, ro, capacitances."""
-        p = self.model.sign
-        vc = x.voltage(self.collector)
-        vb = x.voltage(self.base)
-        ve = x.voltage(self.emitter)
-        vbe = p * (vb - ve)
-        vbc = p * (vb - vc)
-        ic, ib = self._npn_currents(vbe, vbc, ctx)
-        gm = cstep_derivative(lambda v: self._npn_currents(v, vbc, ctx)[0], vbe)
-        gpi = cstep_derivative(lambda v: self._npn_currents(v, vbc, ctx)[1], vbe)
-        go = -cstep_derivative(lambda v: self._npn_currents(vbe, v, ctx)[0], vbc)
-        cbe = cstep_derivative(lambda v: self._charge_be(v, ctx), vbe)
-        cbc = cstep_derivative(lambda v: self._charge_bc(v, ctx), vbc)
+        vbe, vbc = self._junction_voltages(x)
+        ic, ib, gm, dic_dvbc, gpi, _, gif, gir = self.companion(vbe, vbc, ctx)
+        go = -dic_dvbc
+        cbe, cbc = self._capacitances(vbe, vbc, gif, gir)
         return {
             "vbe": vbe, "vbc": vbc, "vce": vbe - vbc,
             "ic": ic, "ib": ib, "gm": gm,

@@ -23,8 +23,10 @@ from typing import Dict
 
 from repro.circuit.elements.nonlinear import (
     NonlinearDevice,
-    cstep_derivative,
+    depletion_capacitance,
+    depletion_charge,
     limexp,
+    limexp_with_slope,
     pnjlim,
 )
 from repro.circuit.units import thermal_voltage
@@ -91,59 +93,58 @@ class Diode(NonlinearDevice):
         return {"anode": self.anode, "cathode": self.cathode}
 
     # ------------------------------------------------------------------
-    def _isat(self, ctx) -> float:
-        return self.area * self.model.saturation_current(ctx.temperature)
+    def _temperature_constants(self, temp_c: float):
+        """``(isat, vt, vcrit)`` at ``temp_c``; ``vt`` includes ``N``."""
+        isat = self.area * self.model.saturation_current(temp_c)
+        vt = self.model.N * thermal_voltage(temp_c)
+        return isat, vt, vt * math.log(vt / (math.sqrt(2.0) * isat))
 
-    def _vt(self, ctx) -> float:
-        return self.model.N * thermal_voltage(ctx.temperature)
+    def companion(self, vd, ctx, constants=None):
+        """Junction current and its closed-form derivatives in one pass.
 
-    def _vcrit(self, ctx) -> float:
-        vt = self._vt(ctx)
-        return vt * math.log(vt / (math.sqrt(2.0) * self._isat(ctx)))
+        Returns ``(id, gd, gdiff)``: the anode-to-cathode current and its
+        conductance, both including ``gmin``, plus ``gdiff``, the
+        exponential term's conductance alone (the diffusion capacitance is
+        ``TT * gdiff``).  ``vd`` may be a real scalar or an ``(A,)``
+        sample column; ``constants`` is the stamp's
+        :meth:`_temperature_constants`, computed here when omitted.
+        """
+        isat, vt, _ = constants or self._temperature_constants(ctx.temperature)
+        e, slope = limexp_with_slope(vd / vt)
+        gdiff = isat * slope / vt
+        gmin = ctx.gmin
+        return isat * (e - 1.0) + gmin * vd, gdiff + gmin, gdiff
 
-    def _limit_voltage(self, vd: float, ctx) -> float:
-        state = self.device_state(ctx)
-        vold = state.get("vd", 0.0)
-        vnew = pnjlim(vd, vold, self._vt(ctx), self._vcrit(ctx))
-        state["vd"] = vnew
-        return vnew
+    def _capacitance(self, vd: float, gdiff: float) -> float:
+        """Incremental capacitance: diffusion plus depletion."""
+        m = self.model
+        return m.TT * gdiff + depletion_capacitance(
+            vd, m.CJO * self.area, m.VJ, m.M, m.FC)
 
+    # ------------------------------------------------------------------
+    # Complex-capable equations: the oracle the tests differentiate
+    # ------------------------------------------------------------------
     def _current(self, vd, ctx):
         """Diode current for (possibly complex) junction voltage."""
-        isat = self._isat(ctx)
-        vt = self._vt(ctx)
+        isat, vt, _ = self._temperature_constants(ctx.temperature)
         return isat * (limexp(vd / vt) - 1.0) + ctx.gmin * vd
 
     def _charge(self, vd, ctx):
         """Stored charge (depletion + diffusion) for complex-step use."""
         m = self.model
-        isat = self._isat(ctx)
-        vt = self._vt(ctx)
-        cj0 = m.CJO * self.area
-        # Diffusion charge
-        q = m.TT * isat * (limexp(vd / vt) - 1.0)
-        if cj0 > 0.0:
-            vdr = vd.real if isinstance(vd, complex) else vd
-            fcv = m.FC * m.VJ
-            if vdr < fcv:
-                q = q + cj0 * m.VJ / (1.0 - m.M) * (
-                    1.0 - (1.0 - vd / m.VJ) ** (1.0 - m.M))
-            else:
-                # Linearised depletion capacitance above FC*VJ (SPICE style)
-                f1 = cj0 * m.VJ / (1.0 - m.M) * (1.0 - (1.0 - m.FC) ** (1.0 - m.M))
-                f2 = (1.0 - m.FC) ** (1.0 + m.M)
-                q = q + f1 + cj0 / f2 * (
-                    (1.0 - m.FC * (1.0 + m.M)) * (vd - fcv)
-                    + 0.5 * m.M / m.VJ * (vd * vd - fcv * fcv))
-        return q
+        isat, vt, _ = self._temperature_constants(ctx.temperature)
+        return (m.TT * isat * (limexp(vd / vt) - 1.0)
+                + depletion_charge(vd, m.CJO * self.area, m.VJ, m.M, m.FC))
 
     # ------------------------------------------------------------------
     def stamp_nonlinear(self, stamper, x, ctx) -> None:
-        va = x.voltage(self.anode)
-        vc = x.voltage(self.cathode)
-        vd = self._limit_voltage(va - vc, ctx)
-        current = self._current(vd, ctx)
-        gd = cstep_derivative(lambda v: self._current(v, ctx), vd)
+        constants = self._temperature_constants(ctx.temperature)
+        _, vt, vcrit = constants
+        state = self.device_state(ctx)
+        vd = pnjlim(x.voltage(self.anode) - x.voltage(self.cathode),
+                    state.get("vd", 0.0), vt, vcrit)
+        state["vd"] = vd
+        current, gd, _ = self.companion(vd, ctx, constants)
         # Currents out of (anode, cathode) into the device, Jacobian wrt
         # the *limited* junction voltage mapped to node voltages.
         nodes = (self.anode, self.cathode)
@@ -155,14 +156,13 @@ class Diode(NonlinearDevice):
 
     def stamp_dynamic_nonlinear(self, stamper, x, ctx) -> None:
         vd = x.voltage(self.anode) - x.voltage(self.cathode)
-        cd = cstep_derivative(lambda v: self._charge(v, ctx), vd)
+        cd = self._capacitance(vd, self.companion(vd, ctx)[2])
         nodes = (self.anode, self.cathode)
         self.stamp_capacitance_matrix(stamper, nodes, ((cd, -cd), (-cd, cd)))
 
     def operating_point_info(self, x, ctx) -> Dict[str, float]:
         """Small dictionary of OP quantities (used by reports/tests)."""
         vd = x.voltage(self.anode) - x.voltage(self.cathode)
-        current = self._current(vd, ctx)
-        gd = cstep_derivative(lambda v: self._current(v, ctx), vd)
-        cd = cstep_derivative(lambda v: self._charge(v, ctx), vd)
-        return {"vd": vd, "id": current, "gd": gd, "cd": cd}
+        current, gd, gdiff = self.companion(vd, ctx)
+        return {"vd": vd, "id": current, "gd": gd,
+                "cd": self._capacitance(vd, gdiff)}

@@ -11,8 +11,10 @@ The model covers what two-stage CMOS amplifier and mirror work needs:
 * ``gmin`` junction conductances from drain/source to bulk.
 
 Sub-threshold conduction is not modelled; the reference circuits bias
-their devices in strong inversion.  Drain current derivatives are obtained
-with complex-step differentiation.
+their devices in strong inversion.  :meth:`MOSFET.companion` evaluates the
+drain current and its closed-form derivatives (gm, gds, gmb) in one pass;
+the complex-capable current equations stay alongside as the oracle the
+tests differentiate by complex step.
 """
 
 from __future__ import annotations
@@ -24,21 +26,15 @@ from typing import Dict
 
 import numpy as np
 
-from repro.circuit.elements.nonlinear import (
-    NonlinearDevice,
-    cstep_gradient,
-    fetlim,
-)
+from repro.circuit.elements.nonlinear import NonlinearDevice, fetlim
 from repro.exceptions import ModelError
 
 __all__ = ["MOSFETModel", "MOSFET"]
 
 
 def _csqrt(x):
-    """Square root valid for real, complex or ndarray arguments
-    (complex-step and batch safe)."""
-    if isinstance(x, np.ndarray):
-        return np.sqrt(x)
+    """Square root valid for real or complex arguments (complex-step
+    safe)."""
     if isinstance(x, complex):
         return cmath.sqrt(x)
     return math.sqrt(x)
@@ -114,12 +110,105 @@ class MOSFET(NonlinearDevice):
                 "source": self.source, "bulk": self.bulk}
 
     # ------------------------------------------------------------------
-    # Current equations
+    # Closed-form companion (NMOS-referred voltages)
     # ------------------------------------------------------------------
-    def _beta(self, ctx) -> float:
-        return (self.model.kp_at(ctx.temperature) * self.multiplier
-                * self.width / self.length)
+    def _temperature_constants(self, temp_c: float):
+        """``(beta, vto)`` at ``temp_c``."""
+        m = self.model
+        return (m.kp_at(temp_c) * self.multiplier * self.width / self.length,
+                m.vto_at(temp_c))
 
+    def _threshold_slope(self, vbs, vto: float):
+        """``(vth, dvth/dvbs)`` including the body effect."""
+        m = self.model
+        if m.GAMMA == 0.0:
+            return vto, 0.0
+        sqrt_phi = math.sqrt(m.PHI)
+        # Forward-biased bulk (vbs > 0): the sqrt is linearised to keep
+        # things smooth.
+        if isinstance(vbs, np.ndarray):
+            reverse = vbs <= 0.0
+            # Guard the masked-out lane: sqrt of a negative argument in
+            # the forward-bias lanes would poison the whole batch.
+            root = np.sqrt(np.where(reverse, m.PHI - vbs, m.PHI))
+            body = np.where(reverse, root, sqrt_phi - 0.5 * vbs / sqrt_phi)
+            slope = np.where(reverse, -0.5 / root, -0.5 / sqrt_phi)
+        elif vbs <= 0.0:
+            body = math.sqrt(m.PHI - vbs)
+            slope = -0.5 / body
+        else:
+            body = sqrt_phi - 0.5 * vbs / sqrt_phi
+            slope = -0.5 / sqrt_phi
+        return vto + m.GAMMA * (body - sqrt_phi), m.GAMMA * slope
+
+    def _forward_companion(self, vgs, vds, vbs, beta: float, vto: float):
+        """``(ids, gm, gds, gmb)`` for ``vds >= 0`` (scalars or columns)."""
+        lam = self.model.LAMBDA
+        vth, dvth = self._threshold_slope(vbs, vto)
+        vov = vgs - vth
+        clm = 1.0 + lam * vds
+        if isinstance(vov, np.ndarray) or isinstance(vds, np.ndarray):
+            triode = vds < vov
+            on = vov > 0.0
+            ids = np.where(triode, beta * clm * vds * (vov - 0.5 * vds),
+                           0.5 * beta * clm * vov * vov)
+            gm = np.where(triode, beta * clm * vds, beta * clm * vov)
+            gds = np.where(triode,
+                           beta * (lam * vds * (vov - 0.5 * vds)
+                                   + clm * (vov - vds)),
+                           0.5 * beta * lam * vov * vov)
+            return (np.where(on, ids, 0.0), np.where(on, gm, 0.0),
+                    np.where(on, gds, 0.0), np.where(on, -gm * dvth, 0.0))
+        if vov <= 0.0:
+            return 0.0, 0.0, 0.0, 0.0
+        if vds < vov:
+            ids = beta * clm * vds * (vov - 0.5 * vds)
+            gm = beta * clm * vds
+            gds = beta * (lam * vds * (vov - 0.5 * vds) + clm * (vov - vds))
+        else:
+            ids = 0.5 * beta * clm * vov * vov
+            gm = beta * clm * vov
+            gds = 0.5 * beta * lam * vov * vov
+        return ids, gm, gds, -gm * dvth
+
+    def companion(self, vgs, vds, vbs, ctx, constants=None):
+        """Drain current and its closed-form derivatives in one pass.
+
+        Returns the NMOS-referred ``(ids, gm, gds, gmb)`` — the
+        derivatives with respect to ``vgs``, ``vds`` and ``vbs`` — with
+        the source/drain swap for ``vds < 0`` applied and ``gmin``
+        excluded.  Arguments may be real scalars or ``(A,)`` sample
+        columns; ``constants`` is the stamp's
+        :meth:`_temperature_constants`, computed here when omitted.
+        """
+        beta, vto = constants or self._temperature_constants(ctx.temperature)
+        if isinstance(vds, np.ndarray):
+            forward = vds >= 0.0
+            f = self._forward_companion(vgs, vds, vbs, beta, vto)
+            r = self._forward_companion(vgs - vds, -vds, vbs - vds, beta, vto)
+            return (np.where(forward, f[0], -r[0]),
+                    np.where(forward, f[1], -r[1]),
+                    np.where(forward, f[2], r[1] + r[2] + r[3]),
+                    np.where(forward, f[3], -r[3]))
+        if vds >= 0.0:
+            return self._forward_companion(vgs, vds, vbs, beta, vto)
+        # Source and drain swap roles for negative vds:
+        # ids = -f(vgs - vds, -vds, vbs - vds).
+        ids, gm, gds, gmb = self._forward_companion(
+            vgs - vds, -vds, vbs - vds, beta, vto)
+        return -ids, -gm, gm + gds + gmb, -gmb
+
+    def _nmos_voltages(self, x):
+        """NMOS-referred ``(vgs, vds, vbs)`` at the solution ``x``."""
+        p = self.model.sign
+        vs = x.voltage(self.source)
+        return (p * (x.voltage(self.gate) - vs),
+                p * (x.voltage(self.drain) - vs),
+                p * (x.voltage(self.bulk) - vs))
+
+    # ------------------------------------------------------------------
+    # Complex-capable equations: the oracle the tests differentiate
+    # ------------------------------------------------------------------
     def _threshold(self, vbs, ctx):
         """Threshold voltage including the body effect (complex-step safe)."""
         m = self.model
@@ -127,16 +216,6 @@ class MOSFET(NonlinearDevice):
         if m.GAMMA == 0.0:
             return vto
         phi = m.PHI
-        if isinstance(vbs, np.ndarray):
-            vbs_r = vbs.real
-            sqrt_phi = math.sqrt(phi)
-            reverse = (vbs_r <= 0.0)
-            # Guard the masked-out lane: sqrt of a negative argument in
-            # the forward-bias lanes would poison the whole batch.
-            reverse_term = _csqrt(np.where(reverse, phi - vbs, phi))
-            forward_term = sqrt_phi - 0.5 * vbs / sqrt_phi
-            body = np.where(reverse, reverse_term, forward_term) - sqrt_phi
-            return vto + m.GAMMA * body
         vbs_r = vbs.real if isinstance(vbs, complex) else vbs
         if vbs_r <= 0.0:
             return vto + m.GAMMA * (_csqrt(phi - vbs) - math.sqrt(phi))
@@ -147,17 +226,11 @@ class MOSFET(NonlinearDevice):
     def _ids(self, vgs, vds, vbs, ctx):
         """NMOS-referred drain-source current (vds >= 0 assumed by caller)."""
         m = self.model
-        beta = self._beta(ctx)
+        beta = self._temperature_constants(ctx.temperature)[0]
         vth = self._threshold(vbs, ctx)
         vov = vgs - vth
-        vov_r = vov.real if isinstance(vov, (complex, np.ndarray)) else vov
-        vds_r = vds.real if isinstance(vds, (complex, np.ndarray)) else vds
-        if isinstance(vov_r, np.ndarray) or isinstance(vds_r, np.ndarray):
-            clm = 1.0 + m.LAMBDA * vds
-            triode = beta * clm * vds * (vov - 0.5 * vds)
-            saturation = 0.5 * beta * clm * vov * vov
-            ids = np.where(np.asarray(vds_r) < vov_r, triode, saturation)
-            return np.where(np.asarray(vov_r) <= 0.0, 0.0 * vgs, ids)
+        vov_r = vov.real if isinstance(vov, complex) else vov
+        vds_r = vds.real if isinstance(vds, complex) else vds
         if vov_r <= 0.0:
             return 0.0 * vgs
         clm = 1.0 + m.LAMBDA * vds
@@ -172,12 +245,8 @@ class MOSFET(NonlinearDevice):
         vgs = p * (vg - vs)
         vds = p * (vd - vs)
         vbs = p * (vb - vs)
-        vds_r = vds.real if isinstance(vds, (complex, np.ndarray)) else vds
-        if isinstance(vds_r, np.ndarray):
-            forward = self._ids(vgs, vds, vbs, ctx)
-            reverse = -self._ids(vgs - vds, -vds, vbs - vds, ctx)
-            ids = np.where(vds_r >= 0.0, forward, reverse)
-        elif vds_r >= 0.0:
+        vds_r = vds.real if isinstance(vds, complex) else vds
+        if vds_r >= 0.0:
             ids = self._ids(vgs, vds, vbs, ctx)
         else:
             # Source and drain swap roles for negative vds.
@@ -194,60 +263,51 @@ class MOSFET(NonlinearDevice):
         return i_drain, i_gate, i_source, i_bulk
 
     # ------------------------------------------------------------------
-    # Limiting
-    # ------------------------------------------------------------------
-    def _limited_voltages(self, x, ctx):
-        p = self.model.sign
-        vd = x.voltage(self.drain)
-        vg = x.voltage(self.gate)
-        vs = x.voltage(self.source)
-        vb = x.voltage(self.bulk)
-        vgs = p * (vg - vs)
-        vds = p * (vd - vs)
-        vbs = p * (vb - vs)
-
-        state = self.device_state(ctx)
-        vto = self.model.vto_at(ctx.temperature)
-        vgs_old = state.get("vgs", vto + 0.5)
-        vds_old = state.get("vds", 0.0)
-        vgs_lim = fetlim(vgs, vgs_old, vto)
-        # Limit vds step to 2 V per iteration to avoid wild excursions.
-        dvds = vds - vds_old
-        if isinstance(dvds, np.ndarray):
-            vds_lim = np.where(np.abs(dvds) > 2.0,
-                               vds_old + np.copysign(2.0, dvds), vds)
-        elif abs(dvds) > 2.0:
-            vds_lim = vds_old + math.copysign(2.0, dvds)
-        else:
-            vds_lim = vds
-        state["vgs"] = vgs_lim
-        state["vds"] = vds_lim
-        state["vbs"] = vbs
-        return vgs_lim, vds_lim, vbs
-
-    # ------------------------------------------------------------------
     # Stamping
     # ------------------------------------------------------------------
     def stamp_nonlinear(self, stamper, x, ctx) -> None:
         p = self.model.sign
-        vgs, vds, vbs = self._limited_voltages(x, ctx)
+        constants = self._temperature_constants(ctx.temperature)
+        vto = constants[1]
+        vgs, vds, vbs = self._nmos_voltages(x)
+        state = self.device_state(ctx)
+        vds_old = state.get("vds", 0.0)
+        vgs = fetlim(vgs, state.get("vgs", vto + 0.5), vto)
+        # Limit vds step to 2 V per iteration to avoid wild excursions.
+        dvds = vds - vds_old
+        if isinstance(dvds, np.ndarray):
+            vds = np.where(np.abs(dvds) > 2.0,
+                           vds_old + np.copysign(2.0, dvds), vds)
+        elif abs(dvds) > 2.0:
+            vds = vds_old + math.copysign(2.0, dvds)
+        state["vgs"] = vgs
+        state["vds"] = vds
+        state["vbs"] = vbs
+        ids, gm, gds, gmb = self.companion(vgs, vds, vbs, ctx, constants)
+        g = ctx.gmin
         # Reconstruct terminal voltages with the source as reference.
         vs = 0.0
         vg = vs + p * vgs
         vd = vs + p * vds
         vb = vs + p * vbs
+        # Terminal currents out of (drain, gate, source, bulk) into the
+        # device with the gmin junction conductances; with p*p = 1 the
+        # drain current's terminal slopes are (gds, gm, -(gm+gds+gmb), gmb).
+        i_db = g * (vd - vb)
+        i_sb = g * (vs - vb)
+        gss = gm + gds + gmb
+        jac = ((gds + g, gm, -gss, gmb - g),
+               (0.0, 0.0, 0.0, 0.0),
+               (-gds, -gm, gss + g, -gmb - g),
+               (-g, 0.0, -g, 2.0 * g))
+        self.stamp_companion(stamper,
+                             (self.drain, self.gate, self.source, self.bulk),
+                             (p * ids + i_db, 0.0, -p * ids + i_sb,
+                              -(i_db + i_sb)),
+                             jac, (vd, vg, vs, vb))
 
-        def currents(vd_, vg_, vs_, vb_):
-            return self._terminal_currents(vd_, vg_, vs_, vb_, ctx)
-
-        volts = (vd, vg, vs, vb)
-        vals = currents(*volts)
-        nodes = (self.drain, self.gate, self.source, self.bulk)
-        jac = [cstep_gradient(lambda a, b, c, d, k=k: currents(a, b, c, d)[k], volts)
-               for k in range(4)]
-        self.stamp_companion(stamper, nodes, vals, jac, volts)
-
-    def _meyer_capacitances(self, vgs: float, vds: float, vbs: float, ctx):
+    def _meyer_capacitances(self, vgs: float, vds: float, vbs: float,
+                            vto: float):
         """Gate capacitances (cgs, cgd, cgb) from the Meyer model plus
         overlaps, evaluated at the operating point (NMOS-referred)."""
         m = self.model
@@ -256,8 +316,7 @@ class MOSFET(NonlinearDevice):
         c_ovl_gs = m.CGSO * w
         c_ovl_gd = m.CGDO * w
         c_ovl_gb = m.CGBO * length
-        vth = self._threshold(vbs, ctx)
-        vov = vgs - vth
+        vov = vgs - self._threshold_slope(vbs, vto)[0]
         if vov <= 0.0:
             # Cutoff: channel charge sits on the bulk side.
             return c_ovl_gs, c_ovl_gd, cox + c_ovl_gb
@@ -272,21 +331,16 @@ class MOSFET(NonlinearDevice):
         return cgs, cgd, c_ovl_gb
 
     def stamp_dynamic_nonlinear(self, stamper, x, ctx) -> None:
-        p = self.model.sign
-        vd = x.voltage(self.drain)
-        vg = x.voltage(self.gate)
-        vs = x.voltage(self.source)
-        vb = x.voltage(self.bulk)
-        vgs = p * (vg - vs)
-        vds = p * (vd - vs)
-        vbs = p * (vb - vs)
+        m = self.model
+        vto = m.vto_at(ctx.temperature)
+        vgs, vds, vbs = self._nmos_voltages(x)
         if vds >= 0.0:
-            cgs, cgd, cgb = self._meyer_capacitances(vgs, vds, vbs, ctx)
+            cgs, cgd, cgb = self._meyer_capacitances(vgs, vds, vbs, vto)
             d_node, s_node = self.drain, self.source
         else:
-            cgd, cgs, cgb = self._meyer_capacitances(vgs - vds, -vds, vbs - vds, ctx)
+            cgd, cgs, cgb = self._meyer_capacitances(vgs - vds, -vds,
+                                                     vbs - vds, vto)
             d_node, s_node = self.source, self.drain
-        m = self.model
         stamper.capacitance_op(self.gate, s_node, cgs)
         stamper.capacitance_op(self.gate, d_node, cgd)
         stamper.capacitance_op(self.gate, self.bulk, cgb)
@@ -298,22 +352,15 @@ class MOSFET(NonlinearDevice):
     # ------------------------------------------------------------------
     def operating_point_info(self, x, ctx) -> Dict[str, float]:
         """Operating-point summary: region, id, gm, gds, gmb, vth, vov."""
-        p = self.model.sign
-        vd = x.voltage(self.drain)
-        vg = x.voltage(self.gate)
-        vs = x.voltage(self.source)
-        vb = x.voltage(self.bulk)
-        vgs = p * (vg - vs)
-        vds = p * (vd - vs)
-        vbs = p * (vb - vs)
+        beta, vto = self._temperature_constants(ctx.temperature)
+        vgs, vds, vbs = self._nmos_voltages(x)
         swapped = vds < 0
         if swapped:
+            # Report the swapped device's own small-signal parameters.
             vgs, vds, vbs = vgs - vds, -vds, vbs - vds
-        vth = self._threshold(vbs, ctx)
+        ids, gm, gds, gmb = self._forward_companion(vgs, vds, vbs, beta, vto)
+        vth = self._threshold_slope(vbs, vto)[0]
         vov = vgs - vth
-        ids = self._ids(vgs, vds, vbs, ctx)
-        grads = cstep_gradient(lambda a, b, c: self._ids(a, b, c, ctx), (vgs, vds, vbs))
-        gm, gds, gmb = grads[0], grads[1], grads[2]
         if vov <= 0:
             region = "cutoff"
         elif vds < vov:

@@ -1,19 +1,27 @@
 """Shared machinery for nonlinear devices (diode, BJT, MOSFET).
 
-Two pieces live here:
+Three pieces live here:
 
 * **Safe exponential and junction-voltage limiting.**  Newton-Raphson on
   exponential device equations diverges unless candidate junction voltages
   are limited between iterations (the classic SPICE ``pnjlim``) and the
   exponential itself is linearised above a threshold (``limexp``).
 
-* **Complex-step differentiation.**  Device Jacobians (conductances) and
-  incremental capacitances are obtained by evaluating the current/charge
-  equations with a tiny imaginary perturbation, which yields derivatives
-  that are exact to machine precision and keeps the device code free of
-  hand-derived (and easily wrong) derivative expressions.  The device
-  equations are written to accept complex arguments; any region selection
-  is done on the real part.
+* **Closed-form derivative helpers.**  Every device evaluates its
+  terminal currents and their analytic Jacobian in one pass (SPICE2
+  style): :func:`limexp_with_slope` returns the exponential together with
+  its slope for real scalars or per-sample ``(A,)`` ndarrays (numpy's
+  ``exp`` in both forms, so an array lane is bit-equal to the scalar
+  evaluation of that lane), and :func:`depletion_capacitance` is the
+  derivative of :func:`depletion_charge`.
+
+* **Complex-step differentiation** (:func:`cstep_derivative`,
+  :func:`cstep_gradient`).  No analysis path uses it any more: it is the
+  test oracle for the closed-form Jacobians.  Each device keeps its
+  current and charge equations written to accept complex arguments (any
+  region selection is done on the real part), and differentiating those
+  with a tiny imaginary step gives derivatives exact to machine
+  precision to compare against.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ from repro.circuit.elements.base import Element
 
 __all__ = [
     "limexp",
+    "limexp_with_slope",
+    "depletion_charge",
+    "depletion_capacitance",
     "pnjlim",
     "fetlim",
     "cstep_derivative",
@@ -46,22 +57,62 @@ _CSTEP = 1e-100
 def limexp(x):
     """Exponential that grows linearly above ``x = 80`` (overflow-safe).
 
-    Works for real and complex arguments, scalar or ndarray (the batched
-    Newton path evaluates one device over all samples at once); the
+    Works for real and complex scalars (the complex-step oracle); the
     region test uses the real part so the function stays compatible with
     complex-step differentiation.
     """
-    if isinstance(x, np.ndarray):
-        low = x.real <= _EXP_LIMIT
-        # Guard the masked-out lane before np.exp: np.where evaluates
-        # both branches, and exp of an unguarded large argument overflows.
-        safe = np.exp(np.where(low, x, 0.0))
-        return np.where(low, safe, _EXP_AT_LIMIT * (1.0 + (x - _EXP_LIMIT)))
     xr = x.real if isinstance(x, complex) else x
     if xr <= _EXP_LIMIT:
         return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
     # First-order continuation: exp(L) * (1 + (x - L))
     return _EXP_AT_LIMIT * (1.0 + (x - _EXP_LIMIT))
+
+
+def limexp_with_slope(x):
+    """``(limexp(x), limexp'(x))`` of a real scalar or ndarray in one pass.
+
+    Scalars go through ``np.exp`` as well, so every lane of an array
+    result is bit-equal to the scalar evaluation of that lane (``math.exp``
+    and numpy's vectorized ``exp`` may differ in the last bit).
+    """
+    if isinstance(x, np.ndarray):
+        low = x <= _EXP_LIMIT
+        # Guard the masked-out lane before np.exp: np.where evaluates
+        # both branches, and exp of an unguarded large argument overflows.
+        e = np.exp(np.where(low, x, 0.0))
+        return (np.where(low, e, _EXP_AT_LIMIT * (1.0 + (x - _EXP_LIMIT))),
+                np.where(low, e, _EXP_AT_LIMIT))
+    if x <= _EXP_LIMIT:
+        e = float(np.exp(x))
+        return e, e
+    return _EXP_AT_LIMIT * (1.0 + (x - _EXP_LIMIT)), _EXP_AT_LIMIT
+
+
+def depletion_charge(v, cj0: float, vj: float, mj: float, fc: float):
+    """Depletion charge of a graded junction, SPICE-style linearisation
+    above ``fc * vj``.  Accepts real or complex ``v`` (complex-step
+    oracle of :func:`depletion_capacitance`)."""
+    if cj0 <= 0.0:
+        return 0.0 * v
+    vr = v.real if isinstance(v, complex) else v
+    fcv = fc * vj
+    if vr < fcv:
+        return cj0 * vj / (1.0 - mj) * (1.0 - (1.0 - v / vj) ** (1.0 - mj))
+    f1 = cj0 * vj / (1.0 - mj) * (1.0 - (1.0 - fc) ** (1.0 - mj))
+    f2 = (1.0 - fc) ** (1.0 + mj)
+    return f1 + cj0 / f2 * ((1.0 - fc * (1.0 + mj)) * (v - fcv)
+                            + 0.5 * mj / vj * (v * v - fcv * fcv))
+
+
+def depletion_capacitance(v: float, cj0: float, vj: float, mj: float,
+                          fc: float) -> float:
+    """``d depletion_charge / dv`` in closed form (real scalar ``v``)."""
+    if cj0 <= 0.0:
+        return 0.0
+    if v < fc * vj:
+        return cj0 * (1.0 - v / vj) ** (-mj)
+    return cj0 / (1.0 - fc) ** (1.0 + mj) * (1.0 - fc * (1.0 + mj)
+                                             + mj / vj * v)
 
 
 def pnjlim(vnew: float, vold: float, vt: float, vcrit: float) -> float:
@@ -160,30 +211,19 @@ def fetlim(vnew: float, vold: float, vto: float) -> float:
 
 
 def cstep_derivative(func: Callable, value: float) -> float:
-    """Derivative of a scalar function via complex-step differentiation.
-
-    ``value`` may be a per-sample ndarray; the perturbation is then
-    applied lane-wise and an ndarray of derivatives comes back.
-    """
-    if isinstance(value, np.ndarray):
-        return func(value + 1j * _CSTEP).imag / _CSTEP
+    """Derivative of a scalar function via complex-step differentiation
+    (the test oracle of the closed-form device derivatives)."""
     return (func(complex(value, _CSTEP))).imag / _CSTEP
 
 
 def cstep_gradient(func: Callable, values: Sequence[float]) -> List[float]:
-    """Gradient of ``func(*values)`` (scalar-valued) via complex step.
-
-    Entries of ``values`` may independently be scalars or per-sample
-    ndarrays (mixed terminal voltages occur when one terminal is ground).
-    """
+    """Gradient of ``func(*values)`` (scalar-valued) via complex step
+    (the test oracle of the closed-form device Jacobians)."""
     grad = []
     vals = list(values)
     for k, v in enumerate(vals):
         perturbed = list(vals)
-        if isinstance(v, np.ndarray):
-            perturbed[k] = v + 1j * _CSTEP
-        else:
-            perturbed[k] = complex(v, _CSTEP)
+        perturbed[k] = complex(v, _CSTEP)
         grad.append(func(*perturbed).imag / _CSTEP)
     return grad
 

@@ -239,29 +239,35 @@ class CompiledPattern:
             self._csc_structure = (indptr, indices, scatter)
         return self._csc_structure
 
-    def _batch(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, segment_starts, flat_positions): the batch scatter plan.
+    def _batch(self) -> Tuple[Tuple, np.ndarray]:
+        """(plan, flat_positions): the batch scatter plan.
 
-        ``order`` stably sorts the triplets by CSC slot, so summing each
-        slot's segment with ``np.add.reduceat`` adds contributions in the
-        original stamp order — the exact accumulation sequence of the
-        scalar ``np.add.at`` replay, at C speed along the whole sample
-        axis.  ``flat_positions[s]`` is slot ``s``'s row-major position
-        in a flattened dense matrix.
+        ``plan[r]`` is ``(slots, triplets)``: the CSC slots that receive
+        their ``r``-th contribution (counting in stamp order) and the
+        triplet indices supplying it.  Adding the ranks one after the
+        other accumulates every slot in the original stamp order — the
+        exact sequence of the scalar ``np.add.at`` replay, so each sample
+        is bit-for-bit the scalar assembly — vectorized over the sample
+        axis and over all slots of a rank.  ``flat_positions[s]`` is slot
+        ``s``'s row-major position in a flattened dense matrix.
         """
         if self._batch_structure is None:
             indptr, indices, scatter = self._csc()
             order = np.argsort(scatter, kind="stable")
             sorted_slots = scatter[order]
+            plan = ()
             if len(sorted_slots):
                 starts = np.flatnonzero(
                     np.r_[True, sorted_slots[1:] != sorted_slots[:-1]])
-            else:
-                starts = np.empty(0, dtype=np.int64)
+                lengths = np.diff(np.r_[starts, len(sorted_slots)])
+                rank = np.arange(len(sorted_slots)) - np.repeat(starts,
+                                                                lengths)
+                plan = tuple((sorted_slots[rank == r], order[rank == r])
+                             for r in range(int(lengths.max())))
             cols_of_slot = np.repeat(np.arange(self.n, dtype=np.int64),
                                      np.diff(indptr))
             flat_positions = indices * self.n + cols_of_slot
-            self._batch_structure = (order, starts, flat_positions)
+            self._batch_structure = (plan, flat_positions)
         return self._batch_structure
 
     def to_dense_batch(self, values: np.ndarray, dtype=float,
@@ -281,7 +287,7 @@ class CompiledPattern:
         else:
             out[:] = 0.0
         if len(self.rows):
-            _, _, flat_positions = self._batch()
+            _, flat_positions = self._batch()
             flat = out.reshape(n_samples, self.n * self.n)
             flat[:, flat_positions] = self.csc_data_batch(values, dtype=dtype)
         return out
@@ -299,10 +305,11 @@ class CompiledPattern:
         if values.ndim != 2 or values.shape[1] != self.nnz:
             raise ValueError(f"expected a (N, {self.nnz}) value block, got "
                              f"shape {values.shape}")
-        order, starts, _ = self._batch()
-        if not len(order):
-            return np.zeros((values.shape[0], 0), dtype=dtype)
-        return np.add.reduceat(values[:, order], starts, axis=1)
+        plan, _ = self._batch()
+        out = np.zeros((values.shape[0], self.structural_nnz()), dtype=dtype)
+        for slots, triplets in plan:
+            out[:, slots] += values[:, triplets]
+        return out
 
     def csc_data(self, values, dtype=float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The CSC ``data`` array for ``values`` (stamp order), nothing else.

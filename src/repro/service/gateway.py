@@ -73,16 +73,25 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 def _spec_from_dict(data: dict) -> ScenarioSpec:
     """Build a :class:`ScenarioSpec` from the ``"scenarios"`` JSON object."""
+    if not isinstance(data, dict):
+        raise ToolError('"scenarios" must be a JSON object')
 
     def dist(payload) -> Optional[Distribution]:
         if payload is None:
             return None
+        if not isinstance(payload, dict):
+            raise ToolError("a scenario distribution must be a JSON object "
+                            'with "kind" and "params"')
         return Distribution(kind=str(payload["kind"]),
                             params=tuple(float(p)
                                          for p in payload["params"]))
 
+    variables = data.get("variables") or {}
+    if not isinstance(variables, dict):
+        raise ToolError('"scenarios.variables" must map names to '
+                        "distributions")
     variables = {str(name): dist(payload)
-                 for name, payload in (data.get("variables") or {}).items()}
+                 for name, payload in variables.items()}
     spec = ScenarioSpec(variables=variables,
                         temperature=dist(data.get("temperature")),
                         gmin=dist(data.get("gmin")))
@@ -231,6 +240,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             return
         except (ToolError, KeyError, TypeError, ValueError) as exc:
             self._error(400, f"bad job body: {exc}")
+            return
+        except Exception as exc:
+            # A body the decoder did not foresee must still get an
+            # answer, never a dropped connection.
+            self._error(500, "could not decode the job body: "
+                        f"{type(exc).__name__}: {exc}")
             return
         self._send_json(202, job.to_dict(),
                         {"Location": f"/jobs/{job.id}"})

@@ -21,11 +21,12 @@ cache instead of being recomputed.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.results import ACResult, DCSweepResult, OPResult
 from repro.analysis.sweeps import FrequencySweep
@@ -54,6 +55,32 @@ _SOLVER_BACKENDS = (None, "auto") + available_backends()
 #: the circuit object (scenario generation and chunked pool submission
 #: both preserve identity), so one canonical hash serves the whole batch.
 _STRUCTURE_FP_BY_CIRCUIT: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _number(name: str, value, kind=float):
+    """``value`` converted by ``kind`` (a float must come out finite), or
+    a :class:`ToolError` naming the field ``name``."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ToolError(f"{name} must be a number, "
+                        f"got {type(value).__name__} {value!r}") from None
+    if kind is float and not math.isfinite(number):
+        raise ToolError(f"{name} must be finite, got {number!r}")
+    return number
+
+
+def _variables(value) -> Dict[str, float]:
+    """``value`` as a name -> finite-float dict, or a :class:`ToolError`."""
+    if not isinstance(value, Mapping):
+        raise ToolError("variables must be a mapping of names to numbers, "
+                        f"got {type(value).__name__}")
+    checked = {}
+    for name, number in value.items():
+        if not isinstance(name, str):
+            raise ToolError(f"variables: name {name!r} is not a string")
+        checked[name] = _number(f"variables[{name!r}]", number)
+    return checked
 
 
 @dataclass
@@ -100,6 +127,19 @@ class AnalysisRequest:
                             f"expected one of {_SOLVER_BACKENDS}")
         if self.netlist is None and self.circuit is None:
             raise ToolError("request needs either netlist text or a Circuit")
+        if self.netlist is not None and not isinstance(self.netlist, str):
+            raise ToolError("netlist must be SPICE text (a string), "
+                            f"got {type(self.netlist).__name__}")
+        # Conditions reach the device equations unchecked, so a nonsense
+        # value is refused here rather than burning Newton iterations.
+        self.temperature = _number("temperature", self.temperature)
+        if self.temperature <= -273.15:
+            raise ToolError("temperature must be above absolute zero "
+                            f"(-273.15 C), got {self.temperature!r}")
+        self.gmin = _number("gmin", self.gmin)
+        if self.gmin < 0.0:
+            raise ToolError(f"gmin must be non-negative, got {self.gmin!r}")
+        self.variables = _variables(self.variables)
         if self.mode == "single-node" and not self.node:
             raise ToolError("single-node requests must name the node")
         if self.mode == "dc-sweep":
@@ -113,7 +153,6 @@ class AnalysisRequest:
             elif self.dc_points < 2 or self.dc_stop == self.dc_start:
                 raise ToolError("dc-sweep needs at least two points and "
                                 "distinct start/stop values")
-        self.variables = {str(k): float(v) for k, v in self.variables.items()}
 
     # ------------------------------------------------------------------
     def resolved_circuit(self) -> Circuit:
@@ -286,22 +325,31 @@ class AnalysisRequest:
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisRequest":
         """Inverse of :meth:`to_dict`."""
+        if not isinstance(data, Mapping):
+            raise ToolError("a request must be a JSON object, "
+                            f"got {type(data).__name__}")
+        if "netlist" not in data:
+            raise ToolError("request needs a 'netlist' field")
         return cls(
             mode=data.get("mode", "all-nodes"),
             netlist=data["netlist"],
             node=data.get("node"),
-            temperature=float(data.get("temperature", 27.0)),
-            gmin=float(data.get("gmin", 1e-12)),
+            temperature=data.get("temperature", 27.0),
+            gmin=data.get("gmin", 1e-12),
             variables=data.get("variables") or {},
-            sweep_start=float(data.get("sweep_start", FrequencySweep.DEFAULT_START)),
-            sweep_stop=float(data.get("sweep_stop", FrequencySweep.DEFAULT_STOP)),
-            sweep_points_per_decade=int(data.get(
-                "sweep_points_per_decade", FrequencySweep.DEFAULT_POINTS_PER_DECADE)),
+            sweep_start=_number("sweep_start", data.get(
+                "sweep_start", FrequencySweep.DEFAULT_START)),
+            sweep_stop=_number("sweep_stop", data.get(
+                "sweep_stop", FrequencySweep.DEFAULT_STOP)),
+            sweep_points_per_decade=_number(
+                "sweep_points_per_decade",
+                data.get("sweep_points_per_decade",
+                         FrequencySweep.DEFAULT_POINTS_PER_DECADE), int),
             backend=data.get("backend"),
             dc_variable=data.get("dc_variable"),
-            dc_start=float(data.get("dc_start", 0.0)),
-            dc_stop=float(data.get("dc_stop", 1.0)),
-            dc_points=int(data.get("dc_points", 51)),
+            dc_start=_number("dc_start", data.get("dc_start", 0.0)),
+            dc_stop=_number("dc_stop", data.get("dc_stop", 1.0)),
+            dc_points=_number("dc_points", data.get("dc_points", 51), int),
             dc_values=data.get("dc_values"),
             label=data.get("label"),
         )

@@ -32,6 +32,23 @@ class TestCompiledPattern:
         pattern = trip.compile_pattern()
         assert np.array_equal(pattern.to_dense(trip.values), trip.to_dense())
 
+    def test_batch_assembly_is_bit_equal_to_per_sample_replay(self):
+        """A slot with many stamps sums in stamp order on the batch path
+        too (a pairwise or reordered sum differs in the last bits, which
+        an ill-conditioned Newton matrix turns into a different
+        trajectory)."""
+        rng = np.random.default_rng(3)
+        rows = np.r_[np.zeros(40, dtype=int), rng.integers(0, 4, 60)]
+        cols = np.r_[np.zeros(40, dtype=int), rng.integers(0, 4, 60)]
+        pattern = CompiledPattern(4, rows, cols)
+        values = rng.normal(size=(5, len(rows))) * \
+            10.0 ** rng.integers(-15, 3, size=(5, len(rows)))
+        dense = pattern.to_dense_batch(values)
+        data = pattern.csc_data_batch(values)
+        for k in range(len(values)):
+            assert np.array_equal(dense[k], pattern.to_dense(values[k]))
+            assert np.array_equal(data[k], pattern.csc_data(values[k]))
+
     def test_csc_matches_triplet_conversion(self):
         trip = _triplets()
         pattern = trip.compile_pattern()

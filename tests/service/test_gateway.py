@@ -214,6 +214,44 @@ class TestErrorPaths:
             finally:
                 connection.close()
 
+    def test_type_errors_are_400_with_cause(self):
+        """Wrongly typed fields get a 400 naming the field, on a
+        connection that stays open, and no job is created."""
+        with running_gateway(persistent=False) as (gateway, client):
+            cases = [
+                ({"netlist": 5}, "netlist"),
+                ({"variables": [1, 2]}, "netlist"),
+                ({"mode": "op", "netlist": OP_NETLIST,
+                  "variables": [1, 2]}, "variables"),
+                ({"mode": "op", "netlist": OP_NETLIST,
+                  "variables": {"rtop": "big"}}, "variables['rtop']"),
+                ({"mode": "op", "netlist": OP_NETLIST, "gmin": -1},
+                 "gmin"),
+                ({"mode": "op", "netlist": OP_NETLIST,
+                  "temperature": -400}, "temperature"),
+                ({"mode": "op", "netlist": OP_NETLIST,
+                  "sweep_start": [1]}, "sweep_start"),
+                ({"requests": [5]}, "JSON object"),
+                ({"mode": "op", "netlist": OP_NETLIST,
+                  "scenarios": {"variables": [1, 2]}}, "scenarios"),
+                ({"mode": "op", "netlist": OP_NETLIST,
+                  "scenarios": [1]}, "scenarios"),
+            ]
+            import http.client
+            connection = http.client.HTTPConnection(*gateway.address,
+                                                    timeout=10)
+            try:
+                for body, cause in cases:
+                    connection.request("POST", "/jobs", json.dumps(body),
+                                       {"Content-Type": "application/json"})
+                    response = connection.getresponse()
+                    payload = json.loads(response.read())
+                    assert response.status == 400, (body, payload)
+                    assert cause in payload["error"], (body, payload)
+            finally:
+                connection.close()
+            assert client.get("/jobs")[2]["jobs"] == []
+
     def test_queue_full_429_with_retry_after(self):
         """Past the admission watermark the gateway answers 429 and names
         the wait; dispatchers=0 makes the depth deterministic."""

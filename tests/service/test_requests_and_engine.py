@@ -1,6 +1,7 @@
 """Tests for the request/response schema and the batch engine."""
 
 import json
+import re
 
 import pytest
 
@@ -125,6 +126,57 @@ class TestAnalysisRequest:
         via_alias = AnalysisRequest(mode="single-node", circuit=aliased,
                                     node="ring")
         assert direct.fingerprint() == via_alias.fingerprint()
+
+
+class TestNumericBoundary:
+    """Nonsense conditions are refused when the request is built, naming
+    the field, so no Newton iteration ever runs on them."""
+
+    @pytest.mark.parametrize("fields, cause", [
+        ({"gmin": -1.0}, "gmin"),
+        ({"gmin": float("nan")}, "gmin"),
+        ({"gmin": float("inf")}, "gmin"),
+        ({"gmin": "tiny"}, "gmin"),
+        ({"temperature": float("inf")}, "temperature"),
+        ({"temperature": float("nan")}, "temperature"),
+        ({"temperature": -400.0}, "temperature"),
+        ({"temperature": -273.15}, "temperature"),
+        ({"temperature": None}, "temperature"),
+        ({"variables": [1, 2]}, "variables"),
+        ({"variables": {"rval": "big"}}, "variables['rval']"),
+        ({"variables": {"rval": float("nan")}}, "variables['rval']"),
+        ({"variables": {"rval": None}}, "variables['rval']"),
+        ({"variables": {1: 2.0}}, "variables"),
+        ({"netlist": 5}, "netlist"),
+    ])
+    def test_rejected_with_the_field_named(self, monkeypatch, fields, cause):
+        import repro.analysis.op as op_module
+
+        def no_newton(*args, **kwargs):
+            raise AssertionError("Newton ran on a rejected request")
+
+        monkeypatch.setattr(op_module, "_solve_nonlinear", no_newton)
+        arguments = dict(mode="all-nodes", netlist=RLC_NETLIST)
+        arguments.update(fields)
+        with pytest.raises(ToolError, match=re.escape(cause)):
+            execute_request(AnalysisRequest(**arguments))
+
+    def test_json_decoding_names_the_field(self):
+        data = AnalysisRequest(netlist=RLC_NETLIST).to_dict()
+        for key, value in (("gmin", -1), ("temperature", float("inf")),
+                           ("variables", [1, 2]), ("dc_points", "many"),
+                           ("dc_points", float("inf")),
+                           ("sweep_start", float("nan"))):
+            with pytest.raises(ToolError, match=key):
+                AnalysisRequest.from_dict(dict(data, **{key: value}))
+
+    def test_boundary_values_accepted(self):
+        request = AnalysisRequest(netlist=RLC_NETLIST, gmin=0,
+                                  temperature=-273.0,
+                                  variables={"rval": 2000})
+        assert request.gmin == 0.0 and request.temperature == -273.0
+        assert request.variables == {"rval": 2000.0}
+        assert isinstance(request.variables["rval"], float)
 
 
 class TestExecuteRequest:
