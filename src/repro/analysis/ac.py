@@ -6,10 +6,10 @@ requested sweep.  This is the analysis the stability tool runs after
 attaching an AC current stimulus to the node under test.
 
 Two solver paths exist behind the same interface (see
-``docs/solver-backends.md``): the dense path stacks the per-frequency
-matrices into one batched LAPACK call, the sparse path factorizes
-``G + j*omega*C`` with SuperLU per frequency and reuses each
-factorization for every right-hand-side column at once.
+``docs/solver-backends.md``): the dense path reduces each pencil once
+(:class:`SchurPencils`) and evaluates every frequency as a triangular
+back-substitution; the sparse path factorizes ``G + j*omega*C`` with
+SuperLU per frequency, shared by every right-hand-side column.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
+import scipy.linalg
 
 from repro.analysis.compiled import CompiledCircuit
 from repro.analysis.context import AnalysisContext
@@ -35,25 +36,198 @@ from repro.linalg import (
 )
 from repro.obs.trace import span as _span
 
-__all__ = ["ac_analysis", "solve_ac_batch", "solve_ac_stacked",
-           "solve_ac_stacked_batch"]
+__all__ = ["SchurPencils", "ac_analysis", "linearization_pencils",
+           "solve_ac_batch", "solve_ac_stacked", "solve_ac_stacked_batch"]
 
-#: Frequencies per stacked solve.  Bounds the size of the (K, n, n) matrix
-#: stack so wide sweeps of large circuits stay within a few tens of MB.
-_STACK_CHUNK = 128
+#: Memory budget of one evaluation block: the ``(P, n, 2, K_c, m)``
+#: back-substitution workspace (complex128 bytes).
+_WORKSPACE_BYTES = 8 << 20
+
+#: Sinkhorn sweeps of the pencil balancing: eight bring every bundled
+#: circuit's driving-point impedances within 1e-11 of a refined-LU oracle.
+_BALANCE_SWEEPS = 8
+
+_NON_FINITE = ("AC system matrices contain non-finite entries "
+               "(bad operating point or device model)")
+
+
+def _balance(G: np.ndarray, C: np.ndarray) -> tuple:
+    """Power-of-two row and column scales ``(P, n)`` of each pencil:
+    Sinkhorn sweeps equalise the row and column 2-norms of
+    ``[G / max|G|, C / max|C|]`` (each plane normalised on its own, so
+    the scales do not depend on the frequency unit)."""
+    def positive(values):
+        return np.where(values > 0, values, 1.0)
+
+    weight = sum(np.square(a / positive(a.max(axis=(1, 2), keepdims=True)))
+                 for a in (np.abs(G), np.abs(C)))
+    col_sq = np.ones(weight.shape[:2])
+    for _ in range(_BALANCE_SWEEPS):
+        row_sq = 1.0 / positive(np.einsum("pij,pj->pi", weight, col_sq))
+        col_sq = 1.0 / positive(np.einsum("pij,pi->pj", weight, row_sq))
+    return tuple(np.ldexp(1.0, np.round(0.5 * np.log2(sq)).astype(int))
+                 for sq in (row_sq, col_sq))
+
+
+class SchurPencils:
+    """Small-signal pencils ``G_p + j*omega*C_p``, each reduced once.
+
+    The dense AC kernel.  On the first :meth:`solve` each pencil of the
+    ``(P, n, n)`` stacks is balanced by exact power-of-two row and column
+    scales ``D_r``, ``D_c`` (not optional: MNA planes span many decades,
+    and the QZ backward error is relative to each plane's largest entry)
+    and reduced by complex QZ, ``D_r G D_c = Q AA Z^H`` and
+    ``D_r C D_c = Q BB Z^H`` with ``AA``, ``BB`` upper triangular.  Every
+    frequency is then one back-substitution,
+    ``X = D_c Z (AA + j*omega*BB)^-1 Q^H D_r B``: O(n^2) per frequency
+    and column.  ``select`` keeps chosen ``(row, col)`` entries::
+
+        >>> import numpy as np
+        >>> G = np.array([[[2.0, -1.0], [-1.0, 2.0]]])     # one pencil
+        >>> C = np.array([[[1e-3, 0.0], [0.0, 1e-9]]])
+        >>> pencils = SchurPencils(G, C)
+        >>> freq = np.logspace(0, 9, 10)
+        >>> X, failures = pencils.solve(freq, np.eye(2))   # two columns
+        >>> X.shape, failures                               # (P, K, n, m)
+        ((1, 10, 2, 2), {})
+        >>> direct = np.array([np.linalg.solve(G[0] + 2j * np.pi * f * C[0],
+        ...                                    np.eye(2)) for f in freq])
+        >>> scale = np.abs(direct).max(axis=(1, 2), keepdims=True)
+        >>> bool(np.all(np.abs(X[0] - direct) <= 1e-12 * scale))
+        True
+        >>> Z, _ = pencils.solve(freq, np.eye(2), select=[(0, 0), (1, 1)])
+        >>> Z.shape                                         # (P, K, pairs)
+        (1, 10, 2)
+        >>> driving = direct[:, [0, 1], [0, 1]]              # Z(node) entries
+        >>> bool(np.allclose(Z[0], driving, rtol=1e-10, atol=0))
+        True
+
+    A pencil singular at a requested frequency (a vanishing diagonal
+    ``alpha_i + j*omega*beta_i``) fails alone, with the frequency named.
+    ``span`` names the trace span reduction and evaluation run in.
+    """
+
+    def __init__(self, G, C, span: str = "ac.stacked_batch"):
+        self._planes = (np.asarray(G), np.asarray(C))
+        self.count = len(self._planes[0])
+        self.span = span
+        #: Pencils the reduction could not handle -> their exception.
+        self.failures: Dict[int, Exception] = {}
+
+    def _reduce(self) -> None:
+        G, C = self._planes
+        self._planes = None
+        count, n = G.shape[0], G.shape[-1]
+        self.left, self.right = np.zeros((2, count, n, n), dtype=complex)
+        #: ``pairs[p, i, j]`` is ``(AA[i, j], BB[i, j])``.
+        self.pairs = np.zeros((count, n, n, 2), dtype=complex)
+        finite = (np.isfinite(G).all(axis=(1, 2))
+                  & np.isfinite(C).all(axis=(1, 2)))[:, None, None]
+        G, C = np.where(finite, G, 0.0), np.where(finite, C, 0.0)
+        row, col = _balance(G, C)
+        for p in range(count):
+            if not finite[p, 0, 0]:
+                self.failures[p] = SingularMatrixError(_NON_FINITE)
+                continue
+            scale = row[p][:, None] * col[p]
+            try:
+                AA, BB, Q, Z = scipy.linalg.qz(
+                    scale * G[p], scale * C[p], output="complex",
+                    check_finite=False)
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                self.failures[p] = SingularMatrixError(
+                    f"AC pencil reduction failed: {exc}")
+                continue
+            self.left[p] = Q.conj().T * row[p]
+            self.right[p] = col[p][:, None] * Z
+            self.pairs[p] = np.stack([AA, BB], axis=-1)
+
+    def solve(self, frequencies, rhs, select: Optional[Sequence] = None,
+              positions: Optional[Sequence[int]] = None,
+              chunk_size: Optional[int] = None) -> tuple:
+        """``(data, failures)`` of the pencils at ``positions`` (default
+        all) for ``rhs`` (one ``(n, m)`` plane, shared or per pencil):
+        ``data`` is ``(P, K, n, m)`` or ``(P, K, len(select))``, NaN for
+        the positions in ``failures``.  ``chunk_size`` caps a block."""
+        freq = np.asarray(frequencies, dtype=float)
+        picked = (np.arange(self.count) if positions is None
+                  else np.asarray(positions, dtype=np.intp))
+        with _span(self.span, pencils=len(picked), frequencies=len(freq)):
+            if self._planes is not None:
+                self._reduce()
+            projected = self.left[picked] @ np.asarray(rhs, dtype=complex)
+            count, n, m = projected.shape
+            rows, cols = (
+                np.indices((n, m)).reshape(2, -1) if select is None
+                else np.asarray(select, dtype=np.intp).reshape(-1, 2).T)
+            # Entry j is row rows[j] of D_c Z times column cols[j] of Y.
+            coef = np.ascontiguousarray(
+                self.right[picked][:, rows, :].transpose(0, 2, 1))
+            if np.array_equal(cols, np.arange(m)):
+                cols = None
+            pairs = self.pairs[picked]
+            diagonal = np.diagonal(pairs, axis1=1, axis2=2)    # (P, 2, n)
+            alpha, beta = diagonal[:, 0, :, None], diagonal[:, 1, :, None]
+            out = np.empty((count, len(freq), len(rows)), dtype=complex)
+            step = min(chunk_size or len(freq),
+                       max(1, _WORKSPACE_BYTES // (count * n * m * 32)))
+            # A vanishing diagonal makes the solution non-finite.
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                for k0 in range(0, len(freq), step):
+                    omega = 2j * np.pi * freq[k0:k0 + step]
+                    out[:, k0:k0 + step] = _evaluate(
+                        pairs, 1.0 / (alpha + omega * beta), projected,
+                        omega, coef, cols)
+            failures = {position: self.failures[p]
+                        for position, p in enumerate(picked.tolist())
+                        if p in self.failures}
+            blown = ~np.isfinite(out).all(axis=2)
+            for position in np.flatnonzero(blown.any(axis=1)).tolist():
+                failures.setdefault(position, SingularMatrixError(
+                    "AC system is singular at "
+                    f"{freq[np.argmax(blown[position])]:g} Hz"))
+            out[list(failures)] = np.nan
+        if select is None:
+            out = out.reshape(count, len(freq), n, m)
+        return out, failures
+
+
+def _evaluate(pairs: np.ndarray, inverse_diagonal: np.ndarray,
+              projected: np.ndarray, omega: np.ndarray, coef: np.ndarray,
+              cols: Optional[np.ndarray]) -> np.ndarray:
+    """``(P, K, J)`` solution entries of one block of frequencies.
+    ``work`` keeps each solved row ``y_i`` next to ``j*omega*y_i``, so a
+    row's tail is one product with the interleaved ``(AA, BB)`` row; rows
+    fold into the output elementwise, in one order for every entry."""
+    count, n, m = projected.shape
+    work = np.empty((count, n, 2, len(omega), m), dtype=complex)
+    work[:, :, 0] = projected[:, :, None, :]
+    out = np.zeros((count, len(omega), coef.shape[-1]), dtype=complex)
+    for i in range(n - 1, -1, -1):
+        row = work[:, i, 0]
+        if i < n - 1:
+            tail = pairs[:, i, i + 1:].reshape(count, 1, -1) @ \
+                work[:, i + 1:].reshape(count, 2 * (n - 1 - i), -1)
+            row -= tail.reshape(row.shape)
+        row *= inverse_diagonal[:, i, :, None]
+        if i:
+            np.multiply(row, omega[:, None], out=work[:, i, 1])
+        out += coef[:, None, i] * (row if cols is None else row[:, :, cols])
+    return out
 
 
 def solve_ac_stacked(G, C, rhs: np.ndarray, frequencies,
-                     chunk_size: int = _STACK_CHUNK,
+                     chunk_size: Optional[int] = None,
                      backend: Union[str, SolverBackend, None] = None,
                      names: Optional[Sequence[str]] = None) -> np.ndarray:
     """Solve ``(G + j*2*pi*f*C) X = rhs`` for every frequency at once.
 
-    The chunked-solve contract: ``rhs`` may be a single vector ``(n,)``
-    (one stimulus — the AC analysis) or a matrix ``(n, m)`` (one column
-    per injection site — the multi-node impedance sweep); the result has
-    a leading frequency axis, ``(K, n)`` or ``(K, n, m)``, regardless of
-    how the frequencies were chunked internally::
+    ``rhs`` may be a single vector ``(n,)`` (one stimulus — the AC
+    analysis) or a matrix ``(n, m)`` (one column per injection site — the
+    multi-node impedance sweep); the result has a leading frequency axis,
+    ``(K, n)`` or ``(K, n, m)``, regardless of how the frequencies were
+    blocked internally::
 
         >>> import numpy as np
         >>> G = np.array([[2.0, -1.0], [-1.0, 2.0]])   # conductances
@@ -63,19 +237,14 @@ def solve_ac_stacked(G, C, rhs: np.ndarray, frequencies,
         >>> X.shape                                    # (K frequencies, n)
         (3, 2)
         >>> direct = np.linalg.solve(G + 2j * np.pi * 10.0 * C, rhs)
-        >>> bool(np.allclose(X[1], direct))            # chunking is invisible
+        >>> bool(np.allclose(X[1], direct))            # blocking is invisible
         True
 
-    On the dense backend the system matrices are stacked into a
-    ``(K, n, n)`` array per chunk and handed to LAPACK as a batch, which
-    removes the Python-loop overhead of the AC hot path; if any matrix in
-    a chunk is singular the chunk is re-solved one frequency at a time to
-    report the exact offending frequency.  On the sparse backend (chosen
-    automatically for large sparse systems, or explicitly via
-    ``backend="sparse"``; ``G``/``C`` may then be scipy sparse matrices)
-    each ``G + j*omega*C`` is factorized once with SuperLU and solved for
-    every RHS column.  ``names`` (MNA unknown names) improve singularity
-    diagnostics.
+    The dense backend evaluates a :class:`SchurPencils` reduction; the
+    sparse one (automatic for large sparse systems; ``G``/``C`` may then
+    be scipy sparse) factorizes each ``G + j*omega*C`` with SuperLU.  A
+    singular frequency raises a ``SingularMatrixError`` naming it;
+    ``names`` (MNA unknown names) improve sparse diagnostics.
     """
     freq = np.asarray(frequencies, dtype=float)
     if freq.ndim != 1 or len(freq) < 1:
@@ -88,15 +257,12 @@ def solve_ac_stacked(G, C, rhs: np.ndarray, frequencies,
         backend_obj = resolve_backend(backend, size=n_unknowns,
                                       density=max(g_density, matrix_stats(C)[1]))
 
-    # Batched solvers return NaN solutions (without raising) for non-finite
-    # inputs; guard once up front so a pathological linearisation fails
-    # loudly instead of poisoning every downstream waveform.
+    # Guard once up front so a pathological linearisation fails loudly
+    # instead of poisoning every downstream waveform.
     G_data = G.data if hasattr(G, "tocsc") else G
     C_data = C.data if hasattr(C, "tocsc") else C
     if not (np.all(np.isfinite(G_data)) and np.all(np.isfinite(C_data))):
-        raise SingularMatrixError(
-            "AC system matrices contain non-finite entries "
-            "(bad operating point or device model)")
+        raise SingularMatrixError(_NON_FINITE)
 
     rhs = np.asarray(rhs, dtype=complex)
     single_rhs = rhs.ndim == 1
@@ -105,52 +271,24 @@ def solve_ac_stacked(G, C, rhs: np.ndarray, frequencies,
     if backend_obj.name == "sparse":
         out = _solve_ac_sparse(G, C, B, freq, backend_obj, names)
     else:
-        out = _solve_ac_dense_stacked(G, C, B, freq, chunk_size, backend_obj)
+        pencil = SchurPencils(backend_obj.matrix(G)[None],
+                              backend_obj.matrix(C)[None], span="ac.stacked")
+        solved, failures = pencil.solve(freq, B, chunk_size=chunk_size)
+        if failures:
+            raise failures[0]
+        out = solved[0]
     return out[:, :, 0] if single_rhs else out
-
-
-def _solve_ac_dense_stacked(G, C, B: np.ndarray, freq: np.ndarray,
-                            chunk_size: int,
-                            backend: SolverBackend) -> np.ndarray:
-    """Dense path: one batched LAPACK call per frequency chunk."""
-    G = backend.matrix(G)
-    C = backend.matrix(C)
-    n, m = B.shape
-    out = np.empty((len(freq), n, m), dtype=complex)
-    for start in range(0, len(freq), chunk_size):
-        block = freq[start:start + chunk_size]
-        omega = (2j * np.pi) * block
-        stack = G[None, :, :] + omega[:, None, None] * C[None, :, :]
-        try:
-            out[start:start + len(block)] = np.linalg.solve(
-                stack, np.broadcast_to(B, (len(block), n, m)))
-        except np.linalg.LinAlgError:
-            # Locate the singular frequency for a precise diagnostic.
-            for offset, frequency in enumerate(block):
-                matrix = G + (2j * np.pi * frequency) * C
-                try:
-                    out[start + offset] = np.linalg.solve(matrix, B)
-                except np.linalg.LinAlgError as exc:
-                    raise SingularMatrixError(
-                        f"AC system is singular at {frequency:g} Hz: {exc}") from exc
-    return out
 
 
 def _solve_ac_sparse(G, C, B: np.ndarray, freq: np.ndarray,
                      backend: SolverBackend,
                      names: Optional[Sequence[str]],
                      pattern_key=None) -> np.ndarray:
-    """Sparse path: one SuperLU factorization per frequency, all RHS columns
-    solved against it at once.
-
-    Every ``G + j*omega*C`` of one sweep shares the same sparsity pattern,
-    so the pattern key is hashed once and passed along — the per-frequency
-    factorizations then hit the symbolic-ordering cache without re-hashing
-    the structure each time.  Same-structure callers (the batched
-    stability sweep runs one sample after another over one compiled
-    pattern) pass ``pattern_key`` in so the hash is computed once per
-    *batch*, not once per sample.
-    """
+    """Sparse path: one SuperLU factorization per frequency, all RHS
+    columns solved against it at once.  Every ``G + j*omega*C`` of a
+    sweep shares one sparsity pattern, so its key is hashed once (or
+    passed in, once per same-structure batch) and every factorization
+    hits the symbolic-ordering cache."""
     G = backend.matrix(G)
     C = backend.matrix(C)
     n, m = B.shape
@@ -177,11 +315,9 @@ def solve_ac_batch(batch, frequencies,
     ``batch`` is a :class:`~repro.analysis.compiled.BatchStampState`
     over one topology; every sample's small-signal system is its static
     ``(G_k, C_k)`` (linear circuits have no operating-point companions).
-    On the dense backend the sample axis is the batch axis: each
-    frequency is one batched LAPACK call over the ``(N, n, n)`` stack of
-    ``G_k + j*omega*C_k`` systems.  On the sparse backend each sample
-    runs the stacked sparse sweep (one factorization per frequency,
-    pattern-keyed so the symbolic ordering is shared across samples).
+    The dense backend reduces every sample's pencil
+    (:class:`SchurPencils`) and evaluates them together; the sparse
+    backend runs each sample's stacked sparse sweep.
 
     Returns ``(data, failures)``: ``data[k]`` is sample ``k``'s
     ``(K, n)`` complex response and ``failures`` maps failed samples
@@ -189,101 +325,65 @@ def solve_ac_batch(batch, frequencies,
     singular frequency) to their exception; failed slabs are NaN.
     """
     with _span("analysis.ac_batch", samples=len(batch)):
-        return _solve_ac_batch_impl(batch, frequencies, backend)
-
-
-def _solve_ac_batch_impl(batch, frequencies,
-                         backend: Union[str, SolverBackend, None] = None
-                         ) -> tuple:
-    compiled = batch.compiled
-    if not compiled.is_linear:
-        raise AnalysisError(
-            "solve_ac_batch only handles linear circuits; nonlinear "
-            "scenarios linearise per sample through ac_analysis")
-    freq = np.asarray(frequencies, dtype=float)
-    if freq.ndim != 1 or len(freq) < 1:
-        raise AnalysisError("at least one frequency is required")
-    n = compiled.size
-    names = compiled.variable_names
-    density = max(compiled.pattern_G.density(), compiled.pattern_C.density())
-    backend_obj = resolve_backend(backend, size=n, density=density)
-    n_samples = len(batch)
-    data = np.full((n_samples, len(freq), n), np.nan, dtype=complex)
-    failures = dict(batch.failures)
-    for index in range(n_samples):
-        if index not in failures and not np.any(batch.b_ac[index]):
-            failures[index] = AnalysisError(
-                "AC analysis needs at least one source with a non-zero "
-                "AC magnitude")
-    healthy = [k for k in range(n_samples) if k not in failures]
-    if not healthy:
-        return data, failures
-
-    if backend_obj.name == "sparse":
-        for sample in healthy:
-            state = batch.sample(sample)
-            try:
-                data[sample] = solve_ac_stacked(
-                    state.G_csc(), state.C_csc(), state.b_ac, freq,
-                    backend=backend_obj, names=names)
-            except (SingularMatrixError, AnalysisError) as exc:
-                failures[sample] = exc
-                data[sample] = np.nan
-        return data, failures
-
-    G = compiled.pattern_G.to_dense_batch(batch.g_values[healthy],
-                                          dtype=complex)
-    C = compiled.pattern_C.to_dense_batch(batch.c_values[healthy],
-                                          dtype=complex)
-    rhs = batch.b_ac[healthy]
-    system = LinearSystem(G[0].real, backend=backend_obj, names=names)
-    failed_positions = set()
-    for k, frequency in enumerate(freq):
-        stack = G + (2j * np.pi * frequency) * C
-        solved, solve_failures = system.solve_batch(stack, rhs)
-        for position, sample in enumerate(healthy):
-            if position in failed_positions:
-                continue
-            if position in solve_failures:
-                failed_positions.add(position)
-                failures[sample] = SingularMatrixError(
-                    f"AC system is singular at {frequency:g} Hz: "
-                    f"{solve_failures[position]}")
-                data[sample] = np.nan
-                # Swap the dead sample's system for the identity so the
-                # remaining frequencies stay on the batched kernel — one
-                # singular sample must not demote every later frequency
-                # to the per-sample LinAlgError fallback.
-                G[position] = np.eye(n, dtype=complex)
-                C[position] = 0.0
-            else:
-                data[sample, k] = solved[position]
+        compiled = batch.compiled
+        if not compiled.is_linear:
+            raise AnalysisError(
+                "solve_ac_batch only handles linear circuits; nonlinear "
+                "scenarios linearise per sample through ac_analysis")
+        freq = np.asarray(frequencies, dtype=float)
+        if freq.ndim != 1 or len(freq) < 1:
+            raise AnalysisError("at least one frequency is required")
+        n = compiled.size
+        density = max(compiled.pattern_G.density(),
+                      compiled.pattern_C.density())
+        backend_obj = resolve_backend(backend, size=n, density=density)
+        data = np.full((len(batch), len(freq), n), np.nan, dtype=complex)
+        failures = dict(batch.failures)
+        for index in range(len(batch)):
+            if index not in failures and not np.any(batch.b_ac[index]):
+                failures[index] = AnalysisError(
+                    "AC analysis needs at least one source with a non-zero "
+                    "AC magnitude")
+        healthy = [k for k in range(len(batch)) if k not in failures]
+        if backend_obj.name == "sparse":
+            for sample in healthy:
+                state = batch.sample(sample)
+                try:
+                    data[sample] = solve_ac_stacked(
+                        state.G_csc(), state.C_csc(), state.b_ac, freq,
+                        backend=backend_obj, names=compiled.variable_names)
+                except (SingularMatrixError, AnalysisError) as exc:
+                    failures[sample] = exc
+                    data[sample] = np.nan
+        elif healthy:
+            G = compiled.pattern_G.to_dense_batch(batch.g_values[healthy])
+            C = compiled.pattern_C.to_dense_batch(batch.c_values[healthy])
+            solved, bad = SchurPencils(G, C, span="analysis.ac_batch").solve(
+                freq, batch.b_ac[healthy][:, :, None])
+            data[healthy] = solved[..., 0]
+            failures.update({healthy[p]: exc for p, exc in bad.items()})
     return data, failures
 
 
 def solve_ac_stacked_batch(lin, rhs, frequencies,
                            backend: Union[str, SolverBackend, None] = None,
                            select: Optional[Sequence] = None) -> tuple:
-    """Frequency sweeps of a whole linearized batch in stacked solves.
+    """Frequency sweeps of a whole linearized batch.
 
     ``lin`` is a :class:`~repro.analysis.compiled.BatchLinearization` —
     N samples' small-signal ``G``/``C`` value planes over one shared
     pattern.  ``rhs`` is either one shared ``(n, m)`` excitation plane
     (one column per injection site — the multi-node impedance cube) or a
-    per-sample ``(N, n, m)`` stack (the batched nonlinear AC path, with
-    ``m = 1``).  On the dense backend each frequency assembles the
-    ``(A, n, n)`` stack of every healthy sample's ``G_k + j*omega*C_k``
-    and makes ONE batched LAPACK call against the multi-RHS plane —
-    sample axis and probed-node axis solved together.  On the sparse
-    backend samples run one after another under a single precomputed
-    pattern key, so every factorization of the batch shares one cached
-    symbolic ordering.
+    per-sample ``(N, n, m)`` stack (the batched nonlinear AC path).  On
+    the dense backend every healthy sample's pencil is reduced
+    (:class:`SchurPencils`) and all samples are evaluated together; on
+    the sparse backend samples run one after another under one pattern
+    key, so every factorization shares one cached symbolic ordering.
 
-    ``select`` (optional) is a sequence of ``(row, col)`` index pairs
-    into the per-frequency solution matrix; when given, only those
-    entries are kept and the result is ``(N, K, len(select))`` — the
-    impedance sweep keeps the diagonal ``Z(node_c) = X[node_c, c]``
-    entries instead of materialising the full ``(N, K, n, m)`` cube.
+    ``select`` (optional) lists ``(row, col)`` entries of each
+    per-frequency solution to keep; the result is then
+    ``(N, K, len(select))`` — the impedance sweep keeps only
+    ``Z(node_c) = X[node_c, c]``.
 
     Returns ``(data, failures)``: failed samples (linearization failures
     carried in from ``lin``, non-finite planes, a singular frequency
@@ -296,144 +396,54 @@ def solve_ac_stacked_batch(lin, rhs, frequencies,
     n = lin.pattern.n
     n_samples = len(lin)
     rhs = np.asarray(rhs, dtype=complex)
-    if rhs.ndim == 2:
-        per_sample_rhs = False
-    elif rhs.ndim == 3 and rhs.shape[0] == n_samples:
-        per_sample_rhs = True
-    else:
+    per_sample_rhs = rhs.ndim == 3
+    if rhs.ndim != 2 and not (per_sample_rhs and len(rhs) == n_samples):
         raise AnalysisError(
             "rhs must be (n, m) shared across samples or (N, n, m) "
             f"per-sample; got shape {rhs.shape} for {n_samples} samples")
-    m = rhs.shape[-1]
+    entry = (len(select),) if select is not None else (n, rhs.shape[-1])
+    data = np.full((n_samples, len(freq)) + entry, np.nan, dtype=complex)
 
-    if select is not None:
-        sel_rows = np.asarray([pair[0] for pair in select], dtype=np.int64)
-        sel_cols = np.asarray([pair[1] for pair in select], dtype=np.int64)
-        data = np.full((n_samples, len(freq), len(sel_rows)), np.nan,
-                       dtype=complex)
-    else:
-        sel_rows = sel_cols = None
-        data = np.full((n_samples, len(freq), n, m), np.nan, dtype=complex)
-
-    failures = dict(lin.failures)
-    for index in range(n_samples):
-        if index in failures:
-            continue
-        if not (np.all(np.isfinite(lin.g_values[index]))
-                and np.all(np.isfinite(lin.c_values[index]))):
-            failures[index] = SingularMatrixError(
-                "AC system matrices contain non-finite entries "
-                "(bad operating point or device model)")
+    finite = (np.isfinite(lin.g_values).all(axis=1)
+              & np.isfinite(lin.c_values).all(axis=1))
+    failures = {int(k): SingularMatrixError(_NON_FINITE)
+                for k in np.flatnonzero(~finite)}
+    failures.update(lin.failures)
     healthy = [k for k in range(n_samples) if k not in failures]
 
     span = _span("ac.stacked_batch", samples=n_samples,
                  frequencies=len(freq), select=len(select) if select else 0)
     with span:
         if healthy:
-            names = lin.compiled.variable_names
             density = max(lin.pattern.density(), lin.cap_pattern.density())
             backend_obj = resolve_backend(backend, size=n, density=density)
             if backend_obj.name == "sparse":
                 _stacked_batch_sparse(lin, rhs, per_sample_rhs, freq, healthy,
-                                      backend_obj, names, sel_rows, sel_cols,
-                                      data, failures)
+                                      backend_obj, lin.compiled.variable_names,
+                                      select, data, failures)
             else:
-                _stacked_batch_dense(lin, rhs, per_sample_rhs, freq, healthy,
-                                     sel_rows, sel_cols, data, failures)
+                solved, bad = linearization_pencils(lin, healthy).solve(
+                    freq, rhs[healthy] if per_sample_rhs else rhs,
+                    select=select)
+                data[healthy] = solved
+                failures.update({healthy[p]: exc for p, exc in bad.items()})
         span.set(failures=len(failures))
     return data, failures
 
 
-#: Memory budget of the dense stacked kernel's ``(K, A, n, n)`` frequency
-#: chunk (complex128 bytes).  Small systems fit hundreds of frequencies
-#: per LAPACK call; large ones degrade gracefully towards one call per
-#: frequency.
-_DENSE_STACK_BUDGET_BYTES = 64 << 20
-
-
-def _stacked_batch_dense(lin, rhs, per_sample_rhs, freq, healthy,
-                         sel_rows, sel_cols, data, failures) -> None:
-    """Dense kernel: frequency and sample axes solved together.
-
-    Frequencies are chunked so the assembled ``(K_c, A, n, n)`` tensor
-    stays within :data:`_DENSE_STACK_BUDGET_BYTES`; each chunk is ONE
-    broadcasted LAPACK call covering every (frequency, sample) pair —
-    the per-call overhead of small-matrix solves dominates a
-    per-frequency loop, not the flops.  A singular chunk falls back to
-    the per-frequency / per-sample ladder to locate and fail the bad
-    sample alone.
-    """
-    n = lin.pattern.n
-    m = rhs.shape[-1]
-    G = lin.pattern.to_dense_batch(lin.g_values[healthy], dtype=complex)
-    C = lin.cap_pattern.to_dense_batch(lin.c_values[healthy], dtype=complex)
-    if per_sample_rhs:
-        B = rhs[healthy]
-    else:
-        B = np.broadcast_to(rhs, (len(healthy), n, m))
-    dead = set()
-    healthy_arr = np.asarray(healthy, dtype=np.int64)
-    per_freq_bytes = max(len(healthy) * n * n * 16, 1)
-    chunk = int(max(1, min(len(freq),
-                           _DENSE_STACK_BUDGET_BYTES // per_freq_bytes)))
-    omega = 2j * np.pi * freq
-    for k0 in range(0, len(freq), chunk):
-        k1 = min(k0 + chunk, len(freq))
-        stack = G[None] + omega[k0:k1, None, None, None] * C[None]
-        try:
-            solved = np.linalg.solve(stack, B[None])
-        except np.linalg.LinAlgError:
-            for k in range(k0, k1):
-                _dense_one_frequency(freq[k], k, G, C, B, healthy, dead,
-                                     sel_rows, sel_cols, data, failures, n)
-            continue
-        alive = [p for p in range(len(healthy)) if p not in dead]
-        if not alive:
-            continue
-        if sel_rows is not None:
-            picked = solved[:, :, sel_rows, sel_cols]
-            data[healthy_arr[alive], k0:k1] = picked[:, alive].swapaxes(0, 1)
-        else:
-            data[healthy_arr[alive], k0:k1] = solved[:, alive].swapaxes(0, 1)
-
-
-def _dense_one_frequency(frequency, k, G, C, B, healthy, dead,
-                         sel_rows, sel_cols, data, failures, n) -> None:
-    """Single-frequency fallback of the dense kernel: locate the singular
-    sample(s), fail them alone and swap in the identity so the remaining
-    chunks stay batched."""
-    stack = G + (2j * np.pi * frequency) * C
-    try:
-        solved = np.linalg.solve(stack, B)
-    except np.linalg.LinAlgError:
-        solved = np.full_like(np.asarray(B), np.nan)
-        for position, sample in enumerate(healthy):
-            if position in dead:
-                continue
-            try:
-                solved[position] = np.linalg.solve(stack[position],
-                                                   B[position])
-            except np.linalg.LinAlgError as exc:
-                dead.add(position)
-                failures[sample] = SingularMatrixError(
-                    f"AC system is singular at {frequency:g} Hz: {exc}")
-                data[sample] = np.nan
-                G[position] = np.eye(n, dtype=complex)
-                C[position] = 0.0
-    for position, sample in enumerate(healthy):
-        if position in dead:
-            continue
-        if sel_rows is not None:
-            data[sample, k] = solved[position][sel_rows, sel_cols]
-        else:
-            data[sample, k] = solved[position]
+def linearization_pencils(lin, samples: Sequence[int]) -> SchurPencils:
+    """The reduced pencils of ``samples`` of a
+    :class:`~repro.analysis.compiled.BatchLinearization`, in order."""
+    return SchurPencils(lin.pattern.to_dense_batch(lin.g_values[samples]),
+                        lin.cap_pattern.to_dense_batch(lin.c_values[samples]))
 
 
 def _stacked_batch_sparse(lin, rhs, per_sample_rhs, freq, healthy,
-                          backend_obj, names, sel_rows, sel_cols,
-                          data, failures) -> None:
+                          backend_obj, names, select, data, failures) -> None:
     """Sparse kernel: per-sample frequency loops under one shared pattern
     key, so every factorization hits the cached symbolic ordering."""
+    if select is not None:
+        sel_rows, sel_cols = np.asarray(select, dtype=np.intp).T
     pattern_key = None
     for sample in healthy:
         G = lin.pattern.to_csc(lin.g_values[sample])
@@ -449,7 +459,7 @@ def _stacked_batch_sparse(lin, rhs, per_sample_rhs, freq, healthy,
             failures[sample] = exc
             data[sample] = np.nan
             continue
-        if sel_rows is not None:
+        if select is not None:
             data[sample] = solved[:, sel_rows, sel_cols]
         else:
             data[sample] = solved

@@ -1302,13 +1302,6 @@ class BatchLinearization:
         return (self.pattern.to_dense(self.g_values[index]),
                 self.cap_pattern.to_dense(self.c_values[index]))
 
-    def sample_sparse(self, index: int) -> Tuple:
-        """Sample ``index``'s CSC ``(G_ss, C_ss)`` over the shared pattern."""
-        if index in self.failures:
-            raise self.failures[index]
-        return (self.pattern.to_csc(self.g_values[index]),
-                self.cap_pattern.to_csc(self.c_values[index], dtype=float))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<BatchLinearization {self.n_samples} samples, "
                 f"{len(self.failures)} failed, nnz={self.pattern.nnz}>")

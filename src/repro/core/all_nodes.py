@@ -238,20 +238,8 @@ def _run_fast(flat: Circuit, nodes: List[str], options: AllNodesOptions,
     sweep = FrequencySweep.coerce(options.sweep)
     coarse = sweeper.impedance_waveforms(nodes, sweep.frequencies)
 
-    # Refinement windows are shared between nodes: responses over a dense
-    # window are computed lazily, once per distinct centre frequency, for
-    # every node at the same time.
-    refine_cache: Dict[float, Dict[str, Waveform]] = {}
-
-    def refiner(node: str, center_hz: float, span_decades: float,
-                points_per_decade: int) -> Waveform:
-        key = round(math.log10(center_hz), 3)
-        if key not in refine_cache:
-            half_span = 10.0 ** (span_decades / 2.0)
-            window = log_sweep(center_hz / half_span, center_hz * half_span,
-                               points_per_decade)
-            refine_cache[key] = sweeper.impedance_waveforms(nodes, window)
-        return refine_cache[key][node].magnitude()
+    refiner = _window_refiner(
+        lambda node, window: sweeper.impedances([node], window)[node])
 
     total = len(nodes)
     for index, node in enumerate(nodes, start=1):
@@ -267,6 +255,34 @@ def _run_fast(flat: Circuit, nodes: List[str], options: AllNodesOptions,
                 raise
             failures[node] = str(exc)
     return results, failures
+
+
+def _window_refiner(evaluate: Callable[[str, np.ndarray], np.ndarray],
+                    windows: Optional[Dict[float, np.ndarray]] = None
+                    ) -> Callable[[str, float, float, int], Waveform]:
+    """A :func:`build_node_result` refiner: ``|evaluate(node, window)|``
+    over the window of the centre's rounded log-frequency key, built
+    around the first centre asking for it (or seeded in ``windows``)."""
+    windows = dict(windows or {})
+
+    def refiner(node: str, center_hz: float, span_decades: float,
+                points_per_decade: int) -> Waveform:
+        key = round(math.log10(center_hz), 3)
+        if key not in windows:
+            windows[key] = _window_around(center_hz, span_decades,
+                                          points_per_decade)
+        return Waveform(windows[key], evaluate(node, windows[key]),
+                        name=f"Z({node})", x_unit="Hz",
+                        y_unit="Ohm").magnitude()
+
+    return refiner
+
+
+def _window_around(center_hz: float, span_decades: float,
+                   points_per_decade: int) -> np.ndarray:
+    half_span = 10.0 ** (span_decades / 2.0)
+    return log_sweep(center_hz / half_span, center_hz * half_span,
+                     points_per_decade)
 
 
 def analyze_all_nodes_batch(circuit: Circuit,
@@ -333,15 +349,15 @@ def analyze_all_nodes_batch(circuit: Circuit,
         except Exception as exc:
             outputs[k] = exc
 
-    prewarmed, refined = _prewarm_refinements(nodes, scans, options_rows,
-                                              sweeper)
+    windows, refined = _prewarm_refinements(nodes, scans, options_rows,
+                                            sweeper)
 
     for k, scan in scans.items():
         try:
             outputs[k] = _build_sample_result(circuit, nodes, skipped_sorted,
                                               options_rows[k], ops[k],
                                               sweeper, freq, scan,
-                                              prewarmed.get(k) or {},
+                                              windows.get(k),
                                               refined.get(k) or {}, k,
                                               start)
         except Exception as exc:
@@ -406,67 +422,63 @@ def _prewarm_refinements(nodes: List[str], scans: Dict[int, tuple],
     Each sample's refinement centres are its dominant coarse peaks, which
     land on shared coarse-grid frequencies — so in a Monte Carlo screen
     most samples request identical windows.  Each distinct window is
-    solved as one member-subset impedance cube instead of one scalar
-    sweep per sample, and its dense-window stability plots and peaks are
-    extracted in one vectorized grid pass over every member row.
+    evaluated as one member-subset impedance cube of the nodes that asked
+    for it, and its stability plots and peaks are extracted in one
+    vectorized grid pass over every member row.
 
-    Returns ``(prewarmed, refined)``: per-sample window caches keyed
-    exactly like the scalar refiner (rounded log-centre), and per-sample
-    ``{node: (refined_plot, refined_peak)}`` precomputed refinements.
-    Anything missing — a failed window solve, a row the grid kernel
-    rejects — falls back to the per-sample scalar path inside the
-    refiner, which reproduces the scalar diagnostics.
+    Returns ``(windows, refined)``: per-sample windows keyed like the
+    scalar refiner's, and per-sample ``{node: (refined_plot,
+    refined_peak)}`` refinements.  Anything missing (a failed window
+    solve, a row or plot method the grid kernel rejects) falls back to
+    the scalar path inside the refiner, which reproduces its diagnostics.
     """
-    window_groups: Dict[tuple, List[tuple]] = {}
+    windows: Dict[int, Dict[float, np.ndarray]] = {}
+    window_groups: Dict[tuple, tuple] = {}
     wants: Dict[tuple, List[tuple]] = {}
     for k, scan in scans.items():
         options = options_rows[k]
         if not options.refine:
             continue
         _, _, _, row_of, peak_rows = scan
-        seen: Dict[float, float] = {}
+        windows[k] = {}
         for column in row_of:
             dominant = dominant_negative_peak(peak_rows[row_of[column]])
             if dominant is None:
                 continue
             key = round(math.log10(dominant.frequency_hz), 3)
-            seen.setdefault(key, dominant.frequency_hz)
+            if key not in windows[k]:
+                group = (dominant.frequency_hz, options.refine_span_decades,
+                         options.refine_points_per_decade)
+                if group not in window_groups:
+                    window_groups[group] = (_window_around(*group), [])
+                windows[k][key] = window_groups[group][0]
+                window_groups[group][1].append((k, key))
             if options.plot_method == "gradient":
                 # The grid kernel implements the gradient method only;
                 # other methods refine through the scalar path.
                 wants.setdefault((k, key), []).append((column, dominant))
-        for key, center in seen.items():
-            window_groups.setdefault(
-                (center, options.refine_span_decades,
-                 options.refine_points_per_decade), []).append((k, key))
 
-    prewarmed: Dict[int, Dict[float, Dict[str, Waveform]]] = {}
     refined: Dict[int, Dict[str, tuple]] = {}
-    for (center, span_decades, points_per_decade), members \
-            in window_groups.items():
-        half_span = 10.0 ** (span_decades / 2.0)
-        window = log_sweep(center / half_span, center * half_span,
-                           points_per_decade)
-        member_samples = [k for k, _ in members]
+    for window, members in window_groups.values():
+        asking = [(k, key) for k, key in members if (k, key) in wants]
+        if not asking:
+            continue
+        columns = sorted({column for member in asking
+                          for column, _ in wants[member]})
         try:
-            # Solve only the members: the sub-batch costs exactly its
-            # sample count, so even a single-member window matches the
-            # scalar refiner solve it replaces.
-            wcube, wfails = sweeper.impedance_cube(nodes, window,
-                                                   samples=member_samples)
+            wcube, wfails = sweeper.impedance_cube(
+                [nodes[column] for column in columns], window,
+                samples=[k for k, _ in asking])
         except Exception:
             continue    # per-sample refiners reproduce any diagnostics
+        where = {column: j for j, column in enumerate(columns)}
         rows: List[np.ndarray] = []
         meta: List[tuple] = []
-        for position, (k, key) in enumerate(members):
+        for position, (k, key) in enumerate(asking):
             if k in wfails:
                 continue
-            prewarmed.setdefault(k, {})[key] = {
-                node: Waveform(window, wcube[position][column],
-                               name=f"Z({node})", x_unit="Hz", y_unit="Ohm")
-                for column, node in enumerate(nodes)}
-            for column, dominant in wants.get((k, key), ()):
-                rows.append(np.abs(wcube[position][column]))
+            for column, dominant in wants[(k, key)]:
+                rows.append(np.abs(wcube[position][where[column]]))
                 meta.append((k, nodes[column], dominant,
                              options_rows[k].peak_threshold))
         if not rows:
@@ -490,7 +502,7 @@ def _prewarm_refinements(nodes: List[str], scans: Dict[int, tuple],
                                 x_unit="Hz", y_unit="")
                 refined.setdefault(k, {})[node] = (
                     plot, _pick_refined_peak(peaks, dominant))
-    return prewarmed, refined
+    return windows, refined
 
 
 def _build_sample_result(circuit: Circuit, nodes: List[str],
@@ -498,36 +510,23 @@ def _build_sample_result(circuit: Circuit, nodes: List[str],
                          op: Optional[OPResult],
                          sweeper: BatchImpedanceSweeper, freq: np.ndarray,
                          scan: tuple,
-                         prewarmed: Dict[float, Dict[str, Waveform]],
+                         windows: Dict[float, np.ndarray],
                          refined: Dict[str, tuple],
                          sample_index: int,
                          start: float) -> AllNodesResult:
     """One sample's :class:`AllNodesResult` from its precomputed scan.
 
     Mirrors :func:`_run_fast` exactly — same responses, same refinement
-    cache keyed on the rounded log-centre frequency, same per-node error
-    capture — except that the coarse plots and peaks arrive precomputed
-    from :func:`_scan_sample`, per-node dense-window refinements arrive
-    precomputed in ``refined`` and the refinement cache starts seeded
-    with the windows :func:`_prewarm_refinements` solved batch-wide.
+    windows keyed on the rounded log-centre frequency, same per-node
+    error capture — except that the coarse plots and peaks arrive
+    precomputed from :func:`_scan_sample`, per-node dense-window
+    refinements arrive precomputed in ``refined`` and the windows start
+    seeded from :func:`_prewarm_refinements`.
     """
     responses, plots, deferred, row_of, peak_rows = scan
-
-    refine_cache: Dict[float, Dict[str, Waveform]] = dict(prewarmed)
-
-    def refiner(node: str, center_hz: float, span_decades: float,
-                points_per_decade: int) -> Waveform:
-        key = round(math.log10(center_hz), 3)
-        if key not in refine_cache:
-            half_span = 10.0 ** (span_decades / 2.0)
-            window = log_sweep(center_hz / half_span, center_hz * half_span,
-                               points_per_decade)
-            raw = sweeper.sample_impedances(sample_index, nodes, window)
-            refine_cache[key] = {
-                name: Waveform(window, values, name=f"Z({name})",
-                               x_unit="Hz", y_unit="Ohm")
-                for name, values in raw.items()}
-        return refine_cache[key][node].magnitude()
+    refiner = _window_refiner(
+        lambda node, window: sweeper.sample_impedances(
+            sample_index, [node], window)[node], windows)
 
     results: List[NodeStabilityResult] = []
     failures: Dict[str, str] = {}

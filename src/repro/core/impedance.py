@@ -1,27 +1,29 @@
 """Fast multi-node driving-point impedance sweeps.
 
 The all-nodes run needs the self-response of *every* node to an injected
-AC current.  Done naively that is one AC analysis per node, each of which
-factorises the same ``(G + jwC)`` matrix at every frequency.  Because the
-matrix does not depend on where the current is injected — only the
-right-hand side does — a single factorisation per frequency can serve all
-nodes at once, and the whole sweep is handed to the solver as one
-stacked batch (:func:`repro.analysis.ac.solve_ac_stacked`): a batched
-LAPACK call on the dense backend, one SuperLU factorization per
-frequency (shared by every injection column) on the sparse backend —
-see ``docs/solver-backends.md``.  This gives results numerically
-identical to the one-node-at-a-time path (which the tests verify) at a
-fraction of the cost, and is the engine behind
-``AllNodesOptions(use_fast_solver=True)``.
+AC current.  Done naively that is one AC analysis per node over the same
+``(G + jwC)`` system.  Only the right-hand side depends on where the
+current is injected, so the sweepers solve all nodes at once: on the
+dense backend each small-signal pencil is reduced once
+(:class:`repro.analysis.ac.SchurPencils`) and cached, so every sweep
+costs one back-substitution per frequency and requested node; on the
+sparse backend one SuperLU factorization per frequency serves every
+injection column (see ``docs/solver-backends.md``).  Results match the
+one-node-at-a-time path; this is ``AllNodesOptions(use_fast_solver=True)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.ac import solve_ac_stacked, solve_ac_stacked_batch
+from repro.analysis.ac import (
+    SchurPencils,
+    linearization_pencils,
+    solve_ac_stacked,
+    solve_ac_stacked_batch,
+)
 from repro.analysis.compiled import BatchLinearization, CompiledCircuit
 from repro.analysis.context import AnalysisContext
 from repro.analysis.mna import MNASystem
@@ -35,14 +37,29 @@ from repro.waveform.waveform import Waveform
 __all__ = ["BatchImpedanceSweeper", "ImpedanceSweeper"]
 
 
+def _injection(nodes: List[str], system, frequencies) -> tuple:
+    """``(indices, rhs, freq)`` of a unit-current injection sweep of
+    ``system`` (an MNA system or compiled circuit) into ``nodes``."""
+    unknown = [n for n in nodes if n not in system.node_names]
+    if unknown:
+        raise StabilityAnalysisError(
+            f"nodes not present in the circuit: {unknown}")
+    freq = np.asarray(frequencies, dtype=float)
+    if freq.ndim != 1 or len(freq) < 1:
+        raise StabilityAnalysisError("at least one frequency is required")
+    indices = [system.index_of(n) for n in nodes]
+    rhs = np.zeros((system.size, len(nodes)), dtype=complex)
+    rhs[indices, np.arange(len(nodes))] = 1.0
+    return indices, rhs, freq
+
+
 class ImpedanceSweeper:
     """Computes driving-point impedances of many nodes over a frequency sweep.
 
     The circuit is copied, every existing AC stimulus is zeroed (the tool's
     auto-zero feature) and the copy is linearised at its DC operating
-    point once.  Each call to :meth:`impedances` then costs one batched
-    complex solve over all frequencies regardless of how many nodes are
-    requested.
+    point once; on the dense backend its pencil is reduced on the first
+    :meth:`impedances` call and only evaluated afterwards.
 
     ``compiled`` (a :class:`~repro.analysis.compiled.CompiledCircuit` of
     the flattened circuit) skips the per-scenario copy and structural
@@ -90,6 +107,9 @@ class ImpedanceSweeper:
         self._backend = self._system.backend
         form = "sparse" if self._backend.name == "sparse" else "dense"
         self._G, self._C = self._system.small_signal_matrices(x_op, form=form)
+        self._pencil = (None if form == "sparse" else
+                        SchurPencils(self._G[None], self._C[None],
+                                     span="ac.stacked"))
         self.temperature = temperature
 
     # ------------------------------------------------------------------
@@ -110,25 +130,19 @@ class ImpedanceSweeper:
         exactly what the single-node analysis measures.
         """
         nodes = list(nodes)
-        unknown = [n for n in nodes if not self.has_node(n)]
-        if unknown:
-            raise StabilityAnalysisError(f"nodes not present in the circuit: {unknown}")
-        freq = np.asarray(frequencies, dtype=float)
-        if freq.ndim != 1 or len(freq) < 1:
-            raise StabilityAnalysisError("at least one frequency is required")
-
-        indices = [self._system.index_of(n) for n in nodes]
-        n_unknowns = self._system.size
-        rhs = np.zeros((n_unknowns, len(nodes)), dtype=complex)
-        for column, index in enumerate(indices):
-            rhs[index, column] = 1.0
-
-        # One batched solve over all frequencies and all injection columns;
-        # Z(node_c) at frequency k is the diagonal entry solution[k, i_c, c].
-        solution = solve_ac_stacked(self._G, self._C, rhs, freq,
-                                    backend=self._backend,
-                                    names=self._system.variable_names)
-        data = solution[:, indices, np.arange(len(nodes))]
+        indices, rhs, freq = _injection(nodes, self._system, frequencies)
+        # Z(node_c) at frequency k is the entry solution[k, i_c, c].
+        if self._backend.name == "sparse":
+            solution = solve_ac_stacked(self._G, self._C, rhs, freq,
+                                        backend=self._backend,
+                                        names=self._system.variable_names)
+            data = solution[:, indices, np.arange(len(nodes))]
+        else:
+            solved, failures = self._pencil.solve(
+                freq, rhs, select=list(zip(indices, range(len(nodes)))))
+            if failures:
+                raise failures[0]
+            data = solved[0]
         return {node: data[:, column] for column, node in enumerate(nodes)}
 
     def impedance_waveforms(self, nodes: Sequence[str],
@@ -147,16 +161,15 @@ class BatchImpedanceSweeper:
     linearized ``(G, C)`` pair it holds a
     :class:`~repro.analysis.compiled.BatchLinearization` — N samples'
     small-signal planes over one shared pattern — and
-    :meth:`impedance_cube` computes the full ``(N, nodes, F)`` impedance
-    cube in stacked batch solves: on the dense backend each frequency is
-    ONE batched LAPACK call covering every sample and every injection
-    column together; on the sparse backend every factorization of the
-    batch shares one cached symbolic ordering.
+    :meth:`impedance_cube` computes the ``(N, nodes, F)`` impedance cube
+    of every sample at once.  On the dense backend every sample's pencil
+    is reduced once, on first use, and every later call only evaluates
+    it; on the sparse backend every factorization of the batch shares
+    one cached symbolic ordering.
 
     :meth:`sample_impedances` is the scalar view used by the per-sample
-    peak refinement: the same injection sweep, restricted to one sample's
-    matrices (each sample's refinement frequencies depend on its own
-    dominant peak, so those small windows cannot share a batch axis).
+    peak refinement (each sample's refinement frequencies depend on its
+    own dominant peak).
     """
 
     def __init__(self, lin: BatchLinearization,
@@ -166,6 +179,8 @@ class BatchImpedanceSweeper:
         density = max(lin.pattern.density(), lin.cap_pattern.density())
         self._backend = resolve_backend(backend, size=self._compiled.size,
                                         density=density)
+        self._pencils = (None if self._backend.name == "sparse" else
+                         linearization_pencils(lin, slice(None)))
 
     # ------------------------------------------------------------------
     @property
@@ -184,17 +199,6 @@ class BatchImpedanceSweeper:
     def has_node(self, node: str) -> bool:
         return node in self._compiled.node_names
 
-    def _injection_rhs(self, nodes: Sequence[str]):
-        unknown = [n for n in nodes if not self.has_node(n)]
-        if unknown:
-            raise StabilityAnalysisError(
-                f"nodes not present in the circuit: {unknown}")
-        indices = [self._compiled.index_of(n) for n in nodes]
-        rhs = np.zeros((self._compiled.size, len(nodes)), dtype=complex)
-        for column, index in enumerate(indices):
-            rhs[index, column] = 1.0
-        return indices, rhs
-
     # ------------------------------------------------------------------
     def impedance_cube(self, nodes: Sequence[str],
                        frequencies: Sequence[float],
@@ -208,41 +212,35 @@ class BatchImpedanceSweeper:
         plus per-sample singular frequency points); failed samples' slabs
         are NaN.
 
-        ``samples`` restricts the solve to a subset of the batch (the
+        ``samples`` restricts the sweep to a subset of the batch (the
         members of one refinement window, say): the cube's first axis
         then follows the given order — ``cube[p]`` belongs to
         ``samples[p]`` — while the failure map keeps the *original*
         sample indices.
         """
-        nodes = list(nodes)
-        freq = np.asarray(frequencies, dtype=float)
-        if freq.ndim != 1 or len(freq) < 1:
-            raise StabilityAnalysisError("at least one frequency is required")
-        indices, rhs = self._injection_rhs(nodes)
-        select = [(index, column) for column, index in enumerate(indices)]
-        lin = self._lin if samples is None else self._lin.take(samples)
-        data, failures = solve_ac_stacked_batch(
-            lin, rhs, freq, backend=self._backend, select=select)
-        if samples is not None:
-            failures = {int(samples[position]): exc
-                        for position, exc in failures.items()}
+        wanted = (range(self.n_samples) if samples is None
+                  else [int(sample) for sample in samples])
+        indices, rhs, freq = _injection(list(nodes), self._compiled,
+                                        frequencies)
+        select = list(zip(indices, range(len(indices))))
+        if self._pencils is None:
+            data, bad = solve_ac_stacked_batch(
+                self._lin.take(wanted), rhs, freq, backend=self._backend,
+                select=select)
+        else:
+            data, bad = self._pencils.solve(freq, rhs, select=select,
+                                            positions=wanted)
+        failures = {sample: self._lin.failures.get(sample, bad.get(p))
+                    for p, sample in enumerate(wanted)
+                    if sample in self._lin.failures or p in bad}
+        data[[sample in failures for sample in wanted]] = np.nan
         return np.swapaxes(data, 1, 2), failures
 
     def sample_impedances(self, index: int, nodes: Sequence[str],
                           frequencies: Sequence[float]) -> Dict[str, np.ndarray]:
         """One sample's scalar impedance sweep (the refinement path)."""
-        if index in self._lin.failures:
-            raise self._lin.failures[index]
         nodes = list(nodes)
-        freq = np.asarray(frequencies, dtype=float)
-        if freq.ndim != 1 or len(freq) < 1:
-            raise StabilityAnalysisError("at least one frequency is required")
-        indices, rhs = self._injection_rhs(nodes)
-        if self._backend.name == "sparse":
-            G, C = self._lin.sample_sparse(index)
-        else:
-            G, C = self._lin.sample_dense(index)
-        solution = solve_ac_stacked(G, C, rhs, freq, backend=self._backend,
-                                    names=self._compiled.variable_names)
-        data = solution[:, indices, np.arange(len(nodes))]
-        return {node: data[:, column] for column, node in enumerate(nodes)}
+        cube, failures = self.impedance_cube(nodes, frequencies, [index])
+        if failures:
+            raise failures[index]
+        return {node: cube[0, column] for column, node in enumerate(nodes)}

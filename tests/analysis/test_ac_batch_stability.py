@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import circuits
+from repro.circuit import CircuitBuilder
 from repro.analysis.compiled import compile_circuit, linearize_batch
 from repro.analysis.ac import solve_ac_stacked, solve_ac_stacked_batch
 from repro.analysis.op import solve_linear_dc_batch, solve_nonlinear_dc_batch
@@ -30,7 +31,7 @@ from repro.core.single_node import (
     analyze_node,
     analyze_node_batch,
 )
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, SingularMatrixError
 from repro.waveform import Waveform
 
 TOL = 1e-9
@@ -278,6 +279,37 @@ class TestSolveAcStackedBatch:
         assert 0 in failures and 1 not in failures
         assert np.all(np.isnan(data[0]))
         assert np.allclose(data[1], clean[1], rtol=0, atol=0)
+
+
+    def test_sample_singular_at_one_frequency_fails_alone(self):
+        builder = CircuitBuilder("rc pair")
+        builder.resistor("a", "0", 1e3)
+        builder.capacitor("a", "0", 1e-9)
+        builder.resistor("a", "b", 2e3)
+        builder.resistor("b", "0", 5e3)
+        builder.capacitor("b", "0", 2e-9)
+        compiled, batch, ops, lin = build_lin(builder.build(),
+                                              [-40.0, 27.0, 125.0], "dense")
+        n = compiled.size
+        # Sample 1 keeps its capacitances but loses every conductance:
+        # G = 0 with a non-singular C is singular at 0 Hz only.
+        lin.g_values = lin.g_values.copy()
+        lin.g_values[1] = 0.0
+        freq = np.array([0.0, 1e3, 1e6])
+        rhs = np.eye(n, dtype=complex)
+        data, failures = solve_ac_stacked_batch(lin, rhs, freq,
+                                                backend="dense")
+        assert set(failures) == {1}
+        assert isinstance(failures[1], SingularMatrixError)
+        assert "singular at 0 Hz" in str(failures[1])
+        assert np.all(np.isnan(data[1]))
+        G, C = lin.sample_dense(1)
+        assert np.all(np.isfinite(
+            solve_ac_stacked(G, C, rhs, freq[1:], backend="dense")))
+        for k in (0, 2):
+            G, C = lin.sample_dense(k)
+            solo = solve_ac_stacked(G, C, rhs, freq, backend="dense")
+            assert np.array_equal(data[k], solo)
 
 
 class TestBatchImpedanceSweeper:
